@@ -15,6 +15,7 @@ from .ctengine import (
     car_ct_expression,
     evaluate,
     evaluate_series,
+    flow_count_expression,
     parse_ct_expression,
     ps_ct_expression,
 )
@@ -105,9 +106,13 @@ def _cmd_volume(args) -> int:
     if args.method == "kpf":
         print(value)
         return 0
+    # the same Lidskii sum, with its flow counts taken as constant terms
+    second = volume(graph, flow, lambda g, f: evaluate(flow_count_expression(g, f)))
     print(f"kpf={value}")
-    print("AGREE")
-    return 0
+    print(f"ct={second}")
+    agree = value == second
+    print("AGREE" if agree else "DISAGREE")
+    return 0 if agree else 1
 
 
 def _cmd_ehrhart(args) -> int:

@@ -1,10 +1,22 @@
 """Iterated constant terms of products of (1-x_i)^-k and (x_j-x_i)^-1 factors.
 
-Two independent evaluators are provided.  The primary one propagates the
-per-variable exponent constraints and never truncates; the series oracle
-expands truncated Laurent series and certifies its cap by computing the
-value at cap and cap+1.  (x_j-x_i)^-1 with i<j always expands as
-x_j^-1 * sum_l (x_i/x_j)^l.
+Two independent evaluators are provided.  (x_j-x_i)^-1 with i<j always
+expands as x_j^-1 * sum_l (x_i/x_j)^l, so each diff factor carries one
+exponent l >= 0 and each pow factor (1-x_i)^-k one exponent r, weighted by
+the multiset coefficient comb(k+r-1, r).
+
+The primary evaluator, evaluate, is a forward sweep over the variables in
+increasing order and never truncates.  The constant term in x_v asks that
+v's budget, -monomial[v] plus l+1 for every diff entering v, be spent
+exactly on the l of the diffs leaving v, the rest going to v's pow factor
+(or being 0 without one).  The sweep's cut state is therefore the vector
+of budgets pushed so far into the later variables, one entry per variable
+that some earlier diff enters, and the sweep keeps a dict from that
+vector to the number of ways of reaching it.  A variable's entry leaves
+the state when the sweep reaches it.
+
+The series oracle expands truncated Laurent series and certifies its cap
+by computing the value at cap and cap+1.
 """
 
 from __future__ import annotations
@@ -51,54 +63,60 @@ class CTExpression:
 
 
 def evaluate(expr: CTExpression) -> int:
-    """Exact iterated constant term by constraint propagation.
-
-    One summand exponent per pow factor and one flow l per diff factor;
-    processing variables in increasing index order fixes every l entering a
-    variable before its own budget is known, so the zero-exponent constraint
-    bounds the outgoing l values and determines the pow exponent.
-    """
+    """Exact iterated constant term by a forward sweep over the variables,
+    whose state is the vector of budgets pending at the later variables."""
     n = expr.nvars
     powk = [0] * (n + 1)
     for i, k in expr.pow_factors:
         powk[i] += k
-    outgoing: list[list[int]] = [[] for _ in range(n + 1)]  # highs of diffs with low=v
-    incoming: list[list[int]] = [[] for _ in range(n + 1)]  # slot ids of diffs with high=v
-    slot_of: dict[tuple[int, int], int] = {}
-    for slot, (i, j) in enumerate(expr.diff_factors):
-        outgoing[i].append(j)
-        incoming[j].append(slot)
-        slot_of[(i, j)] = slot
-    lvals = [0] * len(expr.diff_factors)
-
-    def walk(v: int) -> int:
-        if v > n:
-            return 1
-        budget = -expr.monomial[v - 1] + sum(lvals[s] + 1 for s in incoming[v])
-        if budget < 0:
+    highs: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in expr.diff_factors:
+        highs[i].append(j)
+    # live[c] is the later variable whose pending budget is entry c of a state
+    live: list[int] = []
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for v in range(1, n + 1):
+        # v's own budget, still to be spent, goes to the front of the state
+        shift = -expr.monomial[v - 1]
+        opened: dict[tuple[int, ...], int] = {}
+        if v in live:
+            p = live.index(v)
+            del live[p]
+            for state, count in states.items():
+                budget = shift + state[p]
+                if budget >= 0:
+                    opened[(budget,) + state[:p] + state[p + 1 :]] = count
+        elif shift >= 0:
+            opened = {(shift,) + state: count for state, count in states.items()}
+        states = opened
+        for idx, j in enumerate(highs[v]):
+            if j not in live:
+                live.append(j)
+                states = {state + (0,): count for state, count in states.items()}
+            q = live.index(j) + 1
+            # without a pow factor the last diff takes the whole remainder
+            exact = not powk[v] and idx == len(highs[v]) - 1
+            spent: dict[tuple[int, ...], int] = {}
+            for state, count in states.items():
+                budget = state[0]
+                base = state[q]
+                s = list(state)
+                for l in (budget,) if exact else range(budget + 1):
+                    s[0] = budget - l
+                    s[q] = base + l + 1
+                    key = tuple(s)
+                    spent[key] = spent.get(key, 0) + count
+            states = spent
+        closed: dict[tuple[int, ...], int] = {}
+        for state, count in states.items():
+            weight = _multiset(powk[v], state[0])
+            if weight:
+                key = state[1:]
+                closed[key] = closed.get(key, 0) + count * weight
+        states = closed
+        if not states:
             return 0
-        highs = outgoing[v]
-        total = 0
-
-        def assign(idx: int, remaining: int) -> None:
-            nonlocal total
-            if idx == len(highs):
-                if powk[v] == 0 and remaining != 0:
-                    return
-                weight = _multiset(powk[v], remaining)
-                if weight:
-                    total += weight * walk(v + 1)
-                return
-            slot = slot_of[(v, highs[idx])]
-            for l in range(remaining + 1):
-                lvals[slot] = l
-                assign(idx + 1, remaining - l)
-            lvals[slot] = 0
-
-        assign(0, budget)
-        return total
-
-    return walk(1)
+    return states.get((), 0)
 
 
 def evaluate_series_oracle(expr: CTExpression, degree_cap: int) -> int:

@@ -1,11 +1,28 @@
 """Counting and listing integer flows on directed step graphs.
 
-Counting processes vertices in increasing order: when vertex v is reached
-its in-flow is fully determined, and the surplus is distributed over the
-outgoing edges as a weak composition.  Parallel edges to the same target
-are grouped and weighted by a multiset coefficient, with memoization on
-(vertex, residual in-flows); both are pure count-preserving speedups over
-the literal per-edge enumeration used by list_flows.
+Counting is a forward sweep over the vertices in increasing order.  Its
+state is the set of flows crossing the current cut (Baldoni, De Loera and
+Vergne, "Counting integer flows in networks", 2004), kept as a dict from
+cut state to the number of partial flows that reach it.  The last vertex
+is never tracked: once every other vertex is balanced, conservation
+balances it.  When the sweep reaches vertex v, v's in-flow is settled, and
+its surplus (net supply plus in-flow) leaves it by one of two rules,
+chosen from the edges alone:
+
+* push - v has at most one distinct target among the non-last vertices.
+  The surplus is split at once between that target and the last vertex,
+  and the target's share joins its in-flow, merging with other shares.
+* defer - v has two or more such targets.  The surplus is carried as one
+  pending number.  Just before the sweep reaches each target, it takes
+  that target's share x out of the pending number, and after the last
+  one the remainder r goes to the last vertex (r must be 0 without an
+  edge there).
+
+Parallel edges are grouped: m parallel edges carry x units in
+comb(m+x-1, x) ways.  A deferred source fan, such as the k-fold fan of an
+augmented graph, thus costs one number of state rather than one per
+target.  list_flows and iter_flows keep the literal per-edge enumeration
+as the oracle that the count is checked against.
 """
 
 from __future__ import annotations
@@ -20,48 +37,113 @@ from .graphs import DirectedStepGraph, FlowAssignment, NetFlow
 def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
     """Number of nonnegative integer flows realizing the given net supplies."""
     _check(graph, flow)
-    targets = [graph.out_targets(v) for v in range(1, graph.vertex_count + 1)]
-    net = flow.values
     n = graph.vertex_count
-    memo: dict[tuple[int, tuple[int, ...]], int] = {}
+    mult: list[dict[int, int]] = [{} for _ in range(n + 1)]
+    for i, j in graph.edges:
+        row = mult[i]
+        row[j] = row.get(j, 0) + 1
+    # feeders[w]: deferred vertices with an edge to w, in increasing order
+    feeders: list[list[int]] = [[] for _ in range(n)]
+    deferred = [False] * n
+    for u in range(1, n):
+        inner = [w for w in mult[u] if w != n]
+        if len(inner) > 1:
+            deferred[u] = True
+            for w in inner:
+                feeders[w].append(u)
+    net = flow.values
+    # the cut state: one entry per live channel, where channel w > 0 is the
+    # in-flow gathered so far by vertex w and channel -u the pending surplus
+    # of deferred vertex u
+    live: list[int] = []
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for v in range(1, n):
+        for u in feeders[v]:
+            states = _share(states, live, u, v, mult[u], n)
+        states = _settle(states, live, v, net[v - 1], mult[v], n, deferred[v])
+        if not states:
+            return 0
+    return states.get((), 0)
 
-    def rec(v: int, inflow: tuple[int, ...]) -> int:
-        # inflow[i] is the accumulated in-flow of vertex v+i
-        if v > n:
-            return 1
-        key = (v, inflow)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        surplus = net[v - 1] + inflow[0]
-        rest = inflow[1:]
-        outs = targets[v - 1]
-        if surplus < 0:
-            result = 0
-        elif not outs:
-            result = rec(v + 1, rest) if surplus == 0 else 0
+
+def _share(states, live, u, v, outs, last):
+    """Move target v's share out of deferred vertex u's pending surplus."""
+    p = live.index(-u)
+    if v not in live:
+        live.append(v)
+        states = {state + (0,): count for state, count in states.items()}
+    q = live.index(v)
+    m = outs[v]
+    # after u's last non-last target, the remainder goes to the last vertex
+    final = max(w for w in outs if w != last) == v
+    m_last = outs.get(last, 0)
+    out: dict[tuple[int, ...], int] = {}
+    for state, count in states.items():
+        pending = state[p]
+        base = state[q]
+        s = list(state)
+        shares = range(pending + 1) if not final or m_last else (pending,)
+        for x in shares:
+            weight = count * _ways(m, x)
+            s[q] = base + x
+            if final:
+                weight *= _ways(m_last, pending - x)
+                key = tuple(s[:p] + s[p + 1 :])
+            else:
+                s[p] = pending - x
+                key = tuple(s)
+            out[key] = out.get(key, 0) + weight
+    if final:
+        del live[p]
+    return out
+
+
+def _settle(states, live, v, supply, outs, last, defer):
+    """Consume v's in-flow, then push or defer its surplus."""
+    p = live.index(v) if v in live else -1
+    if p >= 0:
+        del live[p]
+    m_last = outs.get(last, 0)
+    target = 0 if defer else next((w for w in outs if w != last), 0)
+    grow = defer or (target and target not in live)
+    if grow:
+        live.append(-v if defer else target)
+    q = live.index(target) if target else 0
+    m = outs.get(target, 0)
+    out: dict[tuple[int, ...], int] = {}
+    for state, count in states.items():
+        if p >= 0:
+            surplus = supply + state[p]
+            rest = list(state[:p] + state[p + 1 :])
         else:
-            result = 0
-            def distribute(idx: int, remaining: int, weight: int, extra: list[int]) -> None:
-                nonlocal result
-                if idx == len(outs) - 1:
-                    target, mult = outs[idx]
-                    w = weight * comb(mult + remaining - 1, remaining)
-                    extra[target - v - 1] += remaining
-                    result += w * rec(v + 1, tuple(e + r for e, r in zip(extra, rest)))
-                    extra[target - v - 1] -= remaining
-                    return
-                target, mult = outs[idx]
-                for x in range(remaining + 1):
-                    extra[target - v - 1] += x
-                    distribute(idx + 1, remaining - x,
-                               weight * comb(mult + x - 1, x), extra)
-                    extra[target - v - 1] -= x
-            distribute(0, surplus, 1, [0] * (n - v))
-        memo[key] = result
-        return result
+            surplus = supply
+            rest = list(state)
+        if surplus < 0:
+            continue
+        if defer:
+            rest.append(surplus)
+            key = tuple(rest)
+            out[key] = out.get(key, 0) + count
+            continue
+        if not target:
+            weight = _ways(m_last, surplus)
+            if weight:
+                key = tuple(rest)
+                out[key] = out.get(key, 0) + count * weight
+            continue
+        if grow:
+            rest.append(0)
+        base = rest[q]
+        for x in range(surplus + 1) if m_last else (surplus,):
+            rest[q] = base + x
+            key = tuple(rest)
+            out[key] = out.get(key, 0) + count * _ways(m, x) * _ways(m_last, surplus - x)
+    return out
 
-    return rec(1, (0,) * n)
+
+def _ways(m: int, x: int) -> int:
+    """Ways for m parallel edges to carry x units in total."""
+    return comb(m + x - 1, x) if x else 1
 
 
 def list_flows(graph: DirectedStepGraph, flow: NetFlow, cap: int) -> list[FlowAssignment]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import DirectedStepGraph, NetFlow, augment, restrict
 from .kostant import count_flows
@@ -117,6 +117,12 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
 def volume_terms(graph: DirectedStepGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Pairs (s, multinomial * flow count of the restriction at s - t);
     the volume at a net flow is the sum of coeff * prod a_i^{s_i}."""
+    return _lidskii_terms(graph, count_flows)
+
+
+def _lidskii_terms(
+    graph: DirectedStepGraph, kostant: Callable[[DirectedStepGraph, NetFlow], int]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
     n = graph.vertex_count - 1
     if n < 1:
         raise ValueError("volume needs at least two vertices")
@@ -126,20 +132,33 @@ def volume_terms(graph: DirectedStepGraph) -> tuple[tuple[tuple[int, ...], int],
     inner = restrict(graph, n)
     terms = []
     for s in iter_dominant(m - n, n, t):
-        flows = count_flows(inner, NetFlow(tuple(si - ti for si, ti in zip(s, t))))
+        flows = kostant(inner, NetFlow(tuple(si - ti for si, ti in zip(s, t))))
         if flows:
             terms.append((s, multinomial(m - n, s) * flows))
     return tuple(terms)
 
 
-def volume(graph: DirectedStepGraph, flow: NetFlow) -> int:
+def volume(
+    graph: DirectedStepGraph,
+    flow: NetFlow,
+    kostant: Callable[[DirectedStepGraph, NetFlow], int] | None = None,
+) -> int:
     """Normalized volume of the flow polytope; the sink entry of the flow is
-    not used by the sum."""
+    not used by the sum.
+
+    The Lidskii sum is the volume only while every non-sink supply is
+    nonnegative, so a negative one raises ValueError.  kostant, when given,
+    replaces count_flows as the flow counter of the restriction, and the
+    terms are then computed afresh instead of read from volume_terms.
+    """
     if len(flow) != graph.vertex_count:
         raise ValueError("net flow length must match the graph")
     values = flow.values
+    if any(a < 0 for a in values[:-1]):
+        raise ValueError("volume needs nonnegative supplies on every non-sink vertex")
+    terms = volume_terms(graph) if kostant is None else _lidskii_terms(graph, kostant)
     total = 0
-    for s, coeff in volume_terms(graph):
+    for s, coeff in terms:
         term = coeff
         for a, e in zip(values, s):
             term *= a**e

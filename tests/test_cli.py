@@ -2,7 +2,15 @@ import json
 
 import pytest
 
+from flowvol import cli
 from flowvol.cli import main
+from flowvol.ctengine import flow_count_expression, format_ct_expression
+from flowvol.graphs import parse_graph_spec, parse_net_flow
+
+# a unit supply at the start of the 400-vertex Pitman-Stanley graph, with one
+# flow per path to the sink: a sweep that recursed once per vertex would
+# exceed the interpreter's recursion limit
+LONG_PATH_FLOW = ",".join(["1"] + ["0"] * 398)
 
 
 def run_cli(capsys, *argv):
@@ -34,9 +42,44 @@ def test_kpf_rejects_bad_flow(capsys):
     assert "sum" in err
 
 
+def test_kpf_long_path(capsys):
+    code, out, _ = run_cli(capsys, "kpf", "--graph", "ps:400", "--flow", LONG_PATH_FLOW)
+    assert (code, out) == (0, "399\n")
+
+
 def test_volume_car4(capsys):
     code, out, _ = run_cli(capsys, "volume", "--graph", "car:4", "--flow", "1,1,5")
     assert (code, out) == (0, "3\n")
+
+
+def test_volume_all_methods(capsys):
+    code, out, _ = run_cli(
+        capsys, "volume", "--graph", "car:5", "--flow", "1,2,2,2", "--method", "all"
+    )
+    # 98 is car_volume_closed("EQ6", 4, 1, 2)
+    assert (code, out) == (0, "kpf=98\nct=98\nAGREE\n")
+
+
+def test_volume_all_methods_reports_disagreement(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate", lambda expr: 0)
+    code, out, _ = run_cli(
+        capsys, "volume", "--graph", "ps:4", "--flow", "1,1,1", "--method", "all"
+    )
+    assert (code, out) == (1, "kpf=3\nct=0\nDISAGREE\n")
+
+
+def test_volume_all_methods_rejects_multigraph(capsys):
+    code, out, err = run_cli(
+        capsys, "volume", "--graph", "aug:2:ps:3", "--flow", "1,1,1", "--method", "all"
+    )
+    assert (code, out) == (2, "")
+    assert "simple graph" in err
+
+
+def test_volume_rejects_negative_supply(capsys):
+    code, out, err = run_cli(capsys, "volume", "--graph", "ps:4", "--flow=-1,2,1")
+    assert (code, out) == (2, "")
+    assert "nonnegative" in err
 
 
 def test_ehrhart_ps(capsys):
@@ -121,6 +164,13 @@ def test_ct_all_methods(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("cp=") and lines[1].startswith("series=")
     assert lines[2] == "AGREE"
+
+
+def test_ct_long_path(capsys):
+    graph = parse_graph_spec("ps:400")
+    expr = flow_count_expression(graph, parse_net_flow(LONG_PATH_FLOW, 400))
+    code, out, _ = run_cli(capsys, "ct", "--expr", format_ct_expression(expr))
+    assert (code, out) == (0, "399\n")
 
 
 def test_ct_rejects_malformed(capsys):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flowvol.closedforms import ehrhart_car_closed, ehrhart_ps_closed
 from flowvol.ctengine import (
@@ -125,6 +126,40 @@ def test_dual_evaluators_agree_on_random_expressions():
     for _ in range(40):
         expr = random_expression(rng)
         assert evaluate_series(expr) == evaluate(expr)
+
+
+@st.composite
+def fanned_expression(draw):
+    """A random expression plus a fan of diffs: out of one variable to every
+    later one, or into the last variable from every earlier one."""
+    nvars = draw(st.integers(min_value=2, max_value=5))
+    monomial = draw(
+        st.lists(st.integers(min_value=-2, max_value=1), min_size=nvars, max_size=nvars)
+    )
+    powk = draw(st.lists(st.sampled_from((0, 1, 1, 2)), min_size=nvars, max_size=nvars))
+    pows = [(i, k) for i, k in enumerate(powk, start=1) if k]
+    pairs = [(i, j) for i in range(1, nvars) for j in range(i + 1, nvars + 1)]
+    diffs = set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    hub = draw(st.integers(min_value=1, max_value=nvars))
+    if draw(st.booleans()):
+        diffs |= {(hub, j) for j in range(hub + 1, nvars + 1)}
+    else:
+        diffs |= {(i, hub) for i in range(1, hub)}
+    return CTExpression(nvars, tuple(monomial), tuple(pows), tuple(diffs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fanned_expression())
+def test_evaluate_matches_series_on_fans(expr):
+    assert evaluate(expr) == evaluate_series(expr)
+
+
+@pytest.mark.parametrize(("family", "n", "k"), [("ps", 20, 3), ("ps", 30, 3), ("car", 12, 2), ("car", 14, 2)])
+def test_family_expressions_beyond_the_grid(family, n, k):
+    if family == "ps":
+        assert evaluate(ps_ct_expression(n, k)) == ehrhart_ps_closed(n, k)
+    else:
+        assert evaluate(car_ct_expression(n - 1, k)) == ehrhart_car_closed(n, k)
 
 
 def test_format_parse_round_trip():

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from flowvol.ctengine import evaluate_series_oracle, flow_count_expression
 from flowvol.graphs import DirectedStepGraph, NetFlow, parse_graph_spec
-from flowvol.kostant import count_flows, list_flows
+from flowvol.kostant import count_flows, iter_flows, list_flows
 
 PATH3 = parse_graph_spec("3:1-2,2-3")
 TRIANGLE = parse_graph_spec("3:1-2,1-3,2-3")
@@ -122,3 +122,39 @@ def test_count_matches_series_extraction():
             expr = flow_count_expression(g, flow)
             cap = 2 * sum(abs(v) for v in flow.values) + 6
             assert evaluate_series_oracle(expr, cap) == count_flows(g, flow)
+
+
+@st.composite
+def fanned_graph_and_flow(draw):
+    """A random multigraph plus a parallel fan from one vertex to two or more
+    non-last targets, so that the sweep defers that vertex; the fan's vertex
+    has zero, one or two edges to the last vertex.  The net flow is that of
+    a random 0/1 flow on the edges plus one unit from the fan's vertex to a
+    random vertex, which often makes it infeasible."""
+    vertex_count = draw(st.integers(min_value=4, max_value=6))
+    last = vertex_count
+    pairs = [(i, j) for i in range(1, last) for j in range(i + 1, last + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=4))
+    u = draw(st.integers(min_value=1, max_value=last - 3))
+    targets = draw(
+        st.lists(st.integers(min_value=u + 1, max_value=last - 1), min_size=2, unique=True)
+    )
+    fan_mult = draw(st.integers(min_value=1, max_value=2))
+    edges += [(u, w) for w in targets] * fan_mult
+    edges += [(u, last)] * draw(st.integers(min_value=0, max_value=2))
+    g = DirectedStepGraph(vertex_count, tuple(edges))
+    carried = draw(st.lists(st.booleans(), min_size=g.edge_count, max_size=g.edge_count))
+    net = [0] * vertex_count
+    for (i, j), used in zip(g.edges, carried):
+        net[i - 1] += used
+        net[j - 1] -= used
+    net[u - 1] += 1
+    net[draw(st.integers(min_value=0, max_value=last - 1))] -= 1
+    return g, NetFlow(tuple(net))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fanned_graph_and_flow())
+def test_count_equals_listing_with_deferred_fans(case):
+    g, flow = case
+    assert count_flows(g, flow) == sum(1 for _ in iter_flows(g, flow))

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from flowvol.closedforms import ps_volume_closed
+from flowvol.closedforms import ehrhart_car_closed, ehrhart_ps_closed, ps_volume_closed
 from flowvol.graphs import NetFlow, caracol_graph, pitman_stanley_graph
 from flowvol.lidskii import (
     Composition,
@@ -86,6 +86,14 @@ def test_volume_independent_of_last_supply_entry():
         assert len(values) == 1
 
 
+def test_volume_rejects_negative_supplies():
+    # outside the supply cone the Lidskii polynomial is not the volume (it gives -3 here)
+    with pytest.raises(ValueError):
+        volume(pitman_stanley_graph(3), NetFlow.with_sink((-1, 2, 1)))
+    with pytest.raises(ValueError):
+        volume(caracol_graph(3), NetFlow.with_sink((1, -1, 1)))
+
+
 def test_unit_flow_volumes():
     assert unit_flow_volume(pitman_stanley_graph(3)) == 1
     assert unit_flow_volume(pitman_stanley_graph(2)) == 1
@@ -105,6 +113,14 @@ def test_ehrhart_spot_values():
     assert ehrhart_like(pitman_stanley_graph(2), 1) == 1
     assert ehrhart_like(pitman_stanley_graph(3), 2) == 7
     assert ehrhart_like(caracol_graph(3), 1) == 2
+
+
+@pytest.mark.parametrize(("family", "n", "k"), [("ps", 20, 3), ("ps", 30, 3), ("car", 12, 2), ("car", 14, 2)])
+def test_ehrhart_beyond_the_grid(family, n, k):
+    if family == "ps":
+        assert ehrhart_like(pitman_stanley_graph(n), k) == ehrhart_ps_closed(n, k)
+    else:
+        assert ehrhart_like(caracol_graph(n), k) == ehrhart_car_closed(n, k)
 
 
 def test_ehrhart_rejects_bad_k():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from flowvol import verify
+from flowvol import lidskii, verify
+from flowvol.cli import main
 
 
 def test_suite_construction_is_deterministic():
@@ -127,3 +128,24 @@ def test_all_suite_concatenates_in_canonical_order():
     assert names.index("PS-EHRHART-KPF") < names.index("CAR-EHRHART-KPF")
     assert names.index("CAR-EHRHART-KPF") < names.index("LD-LABEL-COUNTS")
     assert names.index("CYC-SHIFT-IND") < names.index("EQ1")
+
+
+def _failed_ids(capsys) -> set[str]:
+    out = capsys.readouterr().out
+    return {line.split()[1] for line in out.splitlines() if line.startswith(verify.FAIL + " ")}
+
+
+def test_planted_flow_count_error_fails_the_suite(monkeypatch, capsys):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    original = lidskii.count_flows
+    monkeypatch.setattr(lidskii, "count_flows", lambda graph, flow: original(graph, flow) + 1)
+    assert main(["verify", "--suite", "ps-ehrhart"]) == 1
+    assert _failed_ids(capsys) == {"PS-EHRHART-KPF"}
+
+
+def test_planted_constant_term_error_fails_the_suite(monkeypatch, capsys):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    original = verify.evaluate
+    monkeypatch.setattr(verify, "evaluate", lambda expr: original(expr) + 1)
+    assert main(["verify", "--suite", "ps-ehrhart"]) == 1
+    assert _failed_ids(capsys) == {"PS-EHRHART-CT"}
