@@ -6,11 +6,17 @@ the labels must be weakly decreasing.  Enumeration order is decreasing
 lexicographic with respect to U < D0 < ... < Dk, i.e. at each position
 down-steps with high labels are tried first and U last; this int encoding
 makes that plain tuple comparison reversed.
+
+Every enumerated word is built through its validating constructor.  A
+labeled word memoises its ``eligible_positions()`` on the instance, out of
+sight of ``==``, ``hash``, ``repr`` and ``pickle``, because each doubly
+labeled word over it reads them again to check its extra channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 UP = -1
@@ -50,7 +56,17 @@ class LabeledDyckWord:
 
     def eligible_positions(self) -> tuple[int, ...]:
         """Positions (0-based) of up-steps and 0-labeled down-steps, in path order."""
-        return tuple(t for t, s in enumerate(self.steps) if s == UP or s == 0)
+        positions = self.__dict__.get("_eligible")
+        if positions is None:
+            positions = tuple(t for t, s in enumerate(self.steps) if s == UP or s == 0)
+            object.__setattr__(self, "_eligible", positions)
+        return positions
+
+    def __getstate__(self) -> dict[str, object]:
+        # the memo is derived data; leave it out so pickles match a cold word
+        state = dict(self.__dict__)
+        state.pop("_eligible", None)
+        return state
 
     def __str__(self) -> str:
         return format_word(self)
@@ -235,20 +251,9 @@ def doubly_labeled_dyck_words(n: int, k: int) -> Iterator[DoublyLabeledDyckWord]
 
 def weakly_increasing_tuples(length: int, hi: int) -> Iterator[tuple[int, ...]]:
     """Weakly increasing tuples over 1..hi in increasing lexicographic order."""
-    if length == 0:
-        yield ()
-        return
-
-    def walk(prefix: list[int], lo: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for v in range(lo, hi + 1):
-            prefix.append(v)
-            yield from walk(prefix, v)
-            prefix.pop()
-
-    yield from walk([], 1)
+    if length < 0:
+        raise ValueError("tuple length must be >= 0")
+    return combinations_with_replacement(range(1, hi + 1), length)
 
 
 def dyck_prefixes(

@@ -113,10 +113,11 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def volume_terms(graph: DirectedStepGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Pairs (s, multinomial * flow count of the restriction at s - t);
-    the volume at a net flow is the sum of coeff * prod a_i^{s_i}."""
+    the volume at a net flow is the sum of coeff * prod a_i^{s_i}.  The
+    terms of the 32 most recently used graphs stay cached."""
     return _lidskii_terms(graph, count_flows)
 
 

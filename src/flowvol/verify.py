@@ -6,6 +6,13 @@ printed form is known to disagree with the oracle are reported as
 REPORTED-DISCREPANCY instead of FAIL, so the suites stay green while
 still witnessing the discrepancies.  Reports are assembled in canonical
 case order no matter how the grid is sharded across workers.
+
+``LD-LABEL-COUNTS``, ``LD-ZEROS`` and ``DLD-WEIGHTED`` read one word
+census per (n, k): a single pass of ``dyck.labeled_dyck_words`` that
+buckets the words by label-count vector and weighs them for the doubly
+labeled count.  The census sits in a small cache that ``run_suite``
+clears at entry, so each run, and each pool worker it forks, enumerates
+the words afresh.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from . import closedforms as cf
@@ -111,12 +119,20 @@ def _count_labeled(n: int, k: int, **filters) -> int:
     return sum(1 for _ in dyck.labeled_dyck_words(n, k, **filters))
 
 
-def _label_count_buckets(n: int, k: int) -> dict[tuple[int, ...], int]:
+@lru_cache(maxsize=4)
+def _word_census(n: int, k: int) -> tuple[dict[tuple[int, ...], int], int]:
+    """One pass over the labeled words of (n, k): the number of words with
+    each label-count vector, and the sum over the words of
+    ``multiset_coeff(k, n + zeros)``, which counts the doubly labeled words.
+    The bucket dict is shared by the cache, so callers only read it."""
     buckets: dict[tuple[int, ...], int] = {}
     for word in dyck.labeled_dyck_words(n, k):
         key = word.label_counts()
         buckets[key] = buckets.get(key, 0) + 1
-    return buckets
+    weighted = sum(
+        count * cf.multiset_coeff(k, n + comp[0]) for comp, count in buckets.items()
+    )
+    return buckets, weighted
 
 
 def _compositions(total: int, length: int) -> list[tuple[int, ...]]:
@@ -164,7 +180,7 @@ def evaluate_case(ident: str, params: dict[str, object]) -> tuple[int, int]:
         )
     if ident == "LD-LABEL-COUNTS":
         n, k = p["n"], p["k"]
-        buckets = _label_count_buckets(n, k)
+        buckets, _ = _word_census(n, k)
         comps = _compositions(n, k + 1)
         good = sum(
             1
@@ -174,7 +190,7 @@ def evaluate_case(ident: str, params: dict[str, object]) -> tuple[int, int]:
         return len(comps), good
     if ident == "LD-ZEROS":
         n, k = p["n"], p["k"]
-        buckets = _label_count_buckets(n, k)
+        buckets, _ = _word_census(n, k)
         good = 0
         for d in range(n + 1):
             enumerated = sum(count for comp, count in buckets.items() if comp[0] == d)
@@ -183,10 +199,7 @@ def evaluate_case(ident: str, params: dict[str, object]) -> tuple[int, int]:
         return n + 1, good
     if ident == "DLD-WEIGHTED":
         n, k = p["n"], p["k"]
-        weighted = sum(
-            cf.multiset_coeff(k, n + w.zero_label_count)
-            for w in dyck.labeled_dyck_words(n, k)
-        )
+        _, weighted = _word_census(n, k)
         return cf.doubly_labeled_count(n, k), weighted
     if ident == "DLD-OBJECTS":
         n, k = p["n"], p["k"]
@@ -485,6 +498,7 @@ def worker_count() -> int:
 
 def run_suite(suite: str, max_n: int | None = None, max_k: int | None = None) -> VerificationReport:
     specs = build_suite(suite, max_n, max_k)
+    _word_census.cache_clear()
     start = time.monotonic()
     workers = worker_count()
     indexed = list(enumerate(specs))

@@ -1,3 +1,6 @@
+import pickle
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +18,7 @@ from flowvol.dyck import (
     parse_word,
     path_points,
     tokenize_steps,
+    weakly_increasing_tuples,
     word_from_path,
 )
 
@@ -68,6 +72,38 @@ def test_extra_channel_validation():
         DoublyLabeledDyckWord(base, (2, 1, 1))  # not weakly increasing
     with pytest.raises(ValueError):
         DoublyLabeledDyckWord(base, (1, 1, 3))  # label out of range
+    assert base.eligible_positions() is base.eligible_positions()  # memo is warm
+    with pytest.raises(ValueError, match="expected 3"):
+        DoublyLabeledDyckWord(base, (1, 1, 1, 1))  # wrong length
+
+
+def test_eligible_positions_memo_is_invisible():
+    warm = parse_word(FIGURE_WORD, 5)
+    cold = parse_word(FIGURE_WORD, 5)
+    warm.eligible_positions()
+    assert warm == cold
+    assert hash(warm) == hash(cold)
+    assert repr(warm) == repr(cold)
+    assert pickle.dumps(warm) == pickle.dumps(cold)
+    restored = pickle.loads(pickle.dumps(warm))
+    assert restored == warm
+    assert restored.eligible_positions() == warm.eligible_positions()
+
+
+def test_weakly_increasing_tuples_match_brute_force():
+    for length in range(0, 7):
+        for hi in range(1, 5):
+            brute = [
+                t
+                for t in product(range(1, hi + 1), repeat=length)
+                if all(a <= b for a, b in zip(t, t[1:]))
+            ]
+            assert list(weakly_increasing_tuples(length, hi)) == brute
+
+
+def test_weakly_increasing_tuples_reject_negative_length():
+    with pytest.raises(ValueError, match="length"):
+        weakly_increasing_tuples(-1, 2)
 
 
 def test_run_with_decreasing_labels_is_valid():

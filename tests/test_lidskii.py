@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from flowvol.closedforms import ehrhart_car_closed, ehrhart_ps_closed, ps_volume_closed
 from flowvol.graphs import NetFlow, caracol_graph, pitman_stanley_graph
+from flowvol import lidskii
 from flowvol.lidskii import (
     Composition,
     FitMismatchError,
@@ -92,6 +93,17 @@ def test_volume_rejects_negative_supplies():
         volume(pitman_stanley_graph(3), NetFlow.with_sink((-1, 2, 1)))
     with pytest.raises(ValueError):
         volume(caracol_graph(3), NetFlow.with_sink((1, -1, 1)))
+
+
+def test_volume_terms_cache_is_bounded():
+    # volume-batch and the verify volumes suite each cycle through at most
+    # about a dozen graphs; seven must stay resident
+    maxsize = lidskii.volume_terms.cache_info().maxsize
+    assert maxsize is not None and maxsize >= 7
+    graph = caracol_graph(5)
+    cached = lidskii.volume_terms(graph)
+    lidskii.volume_terms.cache_clear()
+    assert lidskii.volume_terms(graph) == cached
 
 
 def test_unit_flow_volumes():

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from flowvol import lidskii, verify
+from flowvol import dyck, lidskii, verify
 from flowvol.cli import main
+from flowvol.closedforms import multiset_coeff
 
 
 def test_suite_construction_is_deterministic():
@@ -149,3 +150,52 @@ def test_planted_constant_term_error_fails_the_suite(monkeypatch, capsys):
     monkeypatch.setattr(verify, "evaluate", lambda expr: original(expr) + 1)
     assert main(["verify", "--suite", "ps-ehrhart"]) == 1
     assert _failed_ids(capsys) == {"PS-EHRHART-CT"}
+
+
+def test_word_census_matches_filtered_enumerators():
+    for n in range(0, 5):
+        for k in range(1, 4):
+            buckets, weighted = verify._word_census(n, k)
+            for comp in verify._compositions(n, k + 1):
+                filtered = dyck.labeled_dyck_words(n, k, label_counts=comp)
+                assert buckets.get(comp, 0) == sum(1 for _ in filtered)
+            for d in range(n + 1):
+                total = sum(count for comp, count in buckets.items() if comp[0] == d)
+                assert total == sum(1 for _ in dyck.labeled_dyck_words(n, k, zeros=d))
+            assert weighted == sum(
+                multiset_coeff(k, n + w.zero_label_count)
+                for w in dyck.labeled_dyck_words(n, k)
+            )
+
+
+def _census_case_statuses(capsys) -> dict[str, set[str]]:
+    statuses: dict[str, set[str]] = {}
+    for line in capsys.readouterr().out.splitlines():
+        status, ident = line.split()[:2]
+        if ident in ("LD-LABEL-COUNTS", "LD-ZEROS", "DLD-WEIGHTED"):
+            statuses.setdefault(ident, set()).add(status)
+    return statuses
+
+
+@pytest.mark.parametrize("clean_run_first", [False, True])
+def test_planted_word_loss_fails_every_census_case(monkeypatch, capsys, clean_run_first):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    argv = ["verify", "--suite", "dyck-counts", "--max-n", "3"]
+    if clean_run_first:
+        # the census of the grid points this clean run shares with the
+        # planted run stays cached; it must not hide the planted error
+        assert main(argv[:3] + ["--max-n", "1", "--max-k", "1"]) == 0
+        assert all(s == {verify.PASS} for s in _census_case_statuses(capsys).values())
+    original = dyck.labeled_dyck_words
+
+    def drop_last(n, k, **filters):
+        return iter(list(original(n, k, **filters))[:-1])
+
+    monkeypatch.setattr(dyck, "labeled_dyck_words", drop_last)
+    assert main(argv) == 1
+    statuses = _census_case_statuses(capsys)
+    assert statuses == {
+        "LD-LABEL-COUNTS": {verify.FAIL},
+        "LD-ZEROS": {verify.FAIL},
+        "DLD-WEIGHTED": {verify.FAIL},
+    }
