@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--k", type=int, required=True)
     enum.add_argument("--i", type=int, help="prefix end height (kind=prefix)")
     enum.add_argument("--zeros", type=int, help="exact number of 0-labels (kind=ld)")
-    enum.add_argument("--comp", help="comma-separated label counts a_0..a_k")
+    enum.add_argument("--comp", help="comma-separated label counts a_0..a_k (kind=ld|prefix)")
     out = enum.add_mutually_exclusive_group(required=True)
     out.add_argument("--count", action="store_true")
     out.add_argument("--list", action="store_true")
@@ -158,7 +158,18 @@ def _ehrhart_paths(args) -> dict:
     }
 
 
+# the filters each kind of word takes; any other filter given is an error
+_KIND_FILTERS = {"ld": ("zeros", "comp"), "dld": (), "prefix": ("i", "comp"), "ew": ()}
+
+
 def _cmd_enumerate(args) -> int:
+    stray = [
+        f"--{name}"
+        for name in ("zeros", "comp", "i")
+        if getattr(args, name) is not None and name not in _KIND_FILTERS[args.kind]
+    ]
+    if stray:
+        raise ValueError(f"kind {args.kind!r} takes no {'/'.join(stray)} filters")
     comp = None
     if args.comp is not None:
         comp = tuple(int(tok) for tok in args.comp.split(","))
@@ -167,26 +178,19 @@ def _cmd_enumerate(args) -> int:
             raise ValueError("give at most one of --zeros and --comp")
         words = dyck.labeled_dyck_words(args.n, args.k, zeros=args.zeros, label_counts=comp)
     elif args.kind == "dld":
-        _reject_filters(args, comp)
         words = dyck.doubly_labeled_dyck_words(args.n, args.k)
     elif args.kind == "prefix":
         if args.i is None or comp is None:
             raise ValueError("prefix enumeration needs --i and --comp")
         words = dyck.dyck_prefixes(args.n, args.i, args.k, comp)
     else:
-        _reject_filters(args, comp)
         words = cyclic.extended_words(args.n, args.k)
     if args.count:
         print(sum(1 for _ in words))
         return 0
     for word in words:
-        print(dyck.format_word(word) if not isinstance(word, cyclic.ExtendedWord) else str(word))
+        print(word)
     return 0
-
-
-def _reject_filters(args, comp) -> None:
-    if args.zeros is not None or comp is not None or args.i is not None:
-        raise ValueError(f"kind {args.kind!r} takes no --zeros/--comp/--i filters")
 
 
 def _cmd_ct(args) -> int:

@@ -6,6 +6,11 @@ Repeatedly deleting cyclically adjacent (U, D) pairs leaves a single U
 whose ordinal is the survivor index; rotating at the last U realizes the
 cyclic shift, and together they give the many-to-one projection onto
 labeled Dyck words.
+
+Extended words are enumerated by ``dyck``'s one walker, started from the
+prefix U with a height floor below any height the word can reach, and
+validated by ``dyck``'s step validator; this module adds only the "starts
+with U" and up/down-count conditions.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import dyck
 from .dyck import UP, LabeledDyckWord, tokenize_steps
 
 
@@ -25,7 +31,7 @@ class ExtendedWord:
 
     def __post_init__(self) -> None:
         _validate_letters(self.letters, self.k)
-        downs = sum(1 for s in self.letters if s != UP)
+        downs = len(self.letters) - self.letters.count(UP)
         if len(self.letters) != 2 * downs + 1:
             raise ValueError("extended word must have exactly one more U than down-steps")
 
@@ -34,7 +40,7 @@ class ExtendedWord:
         return len(self.letters) // 2
 
     def __str__(self) -> str:
-        return "".join("U" if s == UP else f"D{s}" for s in self.letters)
+        return dyck._format_steps(self.letters)
 
 
 @dataclass(frozen=True)
@@ -51,7 +57,7 @@ class PrefixExtendedWord:
 
     @property
     def n(self) -> int:
-        return sum(1 for s in self.letters if s == UP) - 1
+        return self.letters.count(UP) - 1
 
     @property
     def height(self) -> int:
@@ -59,20 +65,14 @@ class PrefixExtendedWord:
         return 2 * self.n + 1 - len(self.letters)
 
     def __str__(self) -> str:
-        return "".join("U" if s == UP else f"D{s}" for s in self.letters)
+        return dyck._format_steps(self.letters)
 
 
 def _validate_letters(letters: tuple[int, ...], k: int) -> None:
-    if k < 1:
-        raise ValueError("label bound k must be >= 1")
+    # an extended word has no height condition: its floor is out of reach
+    dyck._validate_steps(letters, k, -len(letters))
     if not letters or letters[0] != UP:
         raise ValueError("word must start with U")
-    for t, s in enumerate(letters):
-        if s != UP:
-            if not 0 <= s <= k:
-                raise ValueError(f"position {t + 1}: label {s} outside 0..{k}")
-            if t and letters[t - 1] != UP and letters[t - 1] < s:
-                raise ValueError(f"position {t + 1}: down-run labels must weakly decrease")
 
 
 def parse_extended_word(text: str, k: int) -> ExtendedWord:
@@ -86,16 +86,22 @@ def survivor_index(word: ExtendedWord | PrefixExtendedWord, *, strategy: str = "
     The deletion order must not change the answer; strategy picks which
     deletable pair goes first so tests can compare orders.
     """
-    survivors = _delete_pairs(word, target_ups=1, strategy=strategy)
-    return survivors[0]
-
-
-def _delete_pairs(
-    word: ExtendedWord | PrefixExtendedWord, target_ups: int, strategy: str
-) -> list[int]:
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    items: list[tuple[int, int]] = []  # (letter, original U ordinal or 0)
+    items = _items(word)
+    ups = word.letters.count(UP)
+    while ups > 1:
+        candidates = _deletable(items)
+        if not candidates:
+            raise ValueError("no deletable pair although down-steps remain")
+        items = _without_pair(items, candidates[0] if strategy == "leftmost" else candidates[-1])
+        ups -= 1
+    return min(ord_ for letter, ord_ in items if letter == UP)
+
+
+def _items(word: ExtendedWord | PrefixExtendedWord) -> tuple[tuple[int, int], ...]:
+    """(letter, ordinal of the U among the word's U's, or 0 for a down-step)."""
+    items = []
     ordinal = 0
     for s in word.letters:
         if s == UP:
@@ -103,21 +109,20 @@ def _delete_pairs(
             items.append((UP, ordinal))
         else:
             items.append((s, 0))
-    ups = ordinal
-    while ups > target_ups:
-        size = len(items)
-        candidates = [
-            t for t in range(size)
-            if items[t][0] == UP and items[(t + 1) % size][0] != UP
-        ]
-        if not candidates:
-            raise ValueError("no deletable pair although down-steps remain")
-        t = candidates[0] if strategy == "leftmost" else candidates[-1]
-        follow = (t + 1) % size
-        for idx in sorted((t, follow), reverse=True):
-            del items[idx]
-        ups -= 1
-    return sorted(ord_ for letter, ord_ in items if letter == UP)
+    return tuple(items)
+
+
+def _deletable(items: tuple[tuple[int, int], ...]) -> list[int]:
+    """Positions of the U's followed, cyclically, by a down-step."""
+    size = len(items)
+    return [t for t in range(size) if items[t][0] == UP and items[(t + 1) % size][0] != UP]
+
+
+def _without_pair(items: tuple[tuple[int, int], ...], t: int) -> tuple[tuple[int, int], ...]:
+    """items without position t and the one after it, cyclically."""
+    if t + 1 < len(items):
+        return items[:t] + items[t + 2:]
+    return items[1:t]
 
 
 def shift(word: ExtendedWord) -> ExtendedWord:
@@ -154,33 +159,17 @@ def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
         cached = memo.get(items)
         if cached is not None:
             return cached
-        size = len(items)
-        candidates = [
-            t for t in range(size)
-            if items[t][0] == UP and items[(t + 1) % size][0] != UP
-        ]
+        candidates = _deletable(items)
         if not candidates:
             result = frozenset(ord_ for letter, ord_ in items if letter == UP)
         else:
             result = frozenset()
             for t in candidates:
-                follow = (t + 1) % size
-                rest = tuple(
-                    item for idx, item in enumerate(items) if idx != t and idx != follow
-                )
-                result |= explore(rest)
+                result |= explore(_without_pair(items, t))
         memo[items] = result
         return result
 
-    items = []
-    ordinal = 0
-    for s in word.letters:
-        if s == UP:
-            ordinal += 1
-            items.append((UP, ordinal))
-        else:
-            items.append((s, 0))
-    result = explore(tuple(items))
+    result = explore(_items(word))
     if len(result) != target:
         raise AssertionError(
             f"expected {target} index candidates, found {len(result)} for {word}"
@@ -191,35 +180,21 @@ def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
 def extended_words(n: int, k: int) -> Iterator[ExtendedWord]:
     """All extended words of length 2n+1, same order convention as the
     Dyck enumerations (high labels first, U last)."""
-    yield from _words(n + 1, n, k, ExtendedWord)
+    if n < 0:
+        raise ValueError("extended word size n must be >= 0")
+    yield from _words(n, n, k, ExtendedWord)
 
 
 def prefix_extended_words(n: int, i: int, k: int) -> Iterator[PrefixExtendedWord]:
     """All prefix extended words of length 2n-i+1 with n+1 up-steps."""
     if not 0 <= i <= n:
         raise ValueError("height i must lie in 0..n")
-    yield from _words(n + 1, n - i, k, PrefixExtendedWord)
+    yield from _words(n, n - i, k, PrefixExtendedWord)
 
 
-def _words(total_ups: int, total_downs: int, k: int, cls) -> Iterator:
+def _words(n: int, downs: int, k: int, build) -> Iterator:
+    """The words that start with U and have n+1 U's and ``downs`` down-steps;
+    the floor, minus the word length, is out of reach of every height."""
     if k < 1:
         raise ValueError("label bound k must be >= 1")
-    letters: list[int] = [UP]
-
-    def walk(ups: int, downs: int) -> Iterator:
-        if ups == total_ups and downs == total_downs:
-            yield cls(tuple(letters), k)
-            return
-        in_run = letters[-1] != UP
-        top = letters[-1] if in_run else k
-        if downs < total_downs:
-            for label in range(top, -1, -1):
-                letters.append(label)
-                yield from walk(ups, downs + 1)
-                letters.pop()
-        if ups < total_ups:
-            letters.append(UP)
-            yield from walk(ups + 1, downs)
-            letters.pop()
-
-    yield from walk(1, 0)
+    return dyck._walk([UP], n + 1, downs, k, (0,) * (k + 1), [downs], -(n + 1 + downs), build)

@@ -7,6 +7,14 @@ lexicographic with respect to U < D0 < ... < Dk, i.e. at each position
 down-steps with high labels are tried first and U last; this int encoding
 makes that plain tuple comparison reversed.
 
+One private walker, ``_walk``, enumerates the labeled words, the prefixes
+and (for ``cyclic``) the extended words.  It is driven by data: label t
+draws on ``counts[pool[t]]``, so one shared count gives every word, the
+identity pool fixes the label-count vector and the pool (0, 1, ..., 1)
+fixes the number of 0-labels; a down-step may not take the height below
+``floor``, which is 0 for Dyck words and below reach for extended words.
+One validator, ``_validate_steps``, checks every kind of word the same way.
+
 Every enumerated word is built through its validating constructor.  A
 labeled word memoises its ``eligible_positions()`` on the instance, out of
 sight of ``==``, ``hash``, ``repr`` and ``pickle``, because each doubly
@@ -17,23 +25,38 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 UP = -1
 
 
+class _StepWord:
+    """Reads shared by the word classes that carry ``steps`` and ``k``."""
+
+    steps: tuple[int, ...]
+    k: int
+
+    def label_counts(self) -> tuple[int, ...]:
+        counts = [0] * (self.k + 1)
+        for s in self.steps:
+            if s != UP:
+                counts[s] += 1
+        return tuple(counts)
+
+    def __str__(self) -> str:
+        return format_word(self)
+
+
 @dataclass(frozen=True)
-class LabeledDyckWord:
+class LabeledDyckWord(_StepWord):
     """Balanced word over {U, D0..Dk} with the prefix and weak-decrease conditions."""
 
     steps: tuple[int, ...]
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("label bound k must be >= 1")
         _validate_steps(self.steps, self.k)
-        ups = sum(1 for s in self.steps if s == UP)
+        ups = self.steps.count(UP)
         if 2 * ups != len(self.steps):
             raise ValueError(
                 f"word has {ups} up-steps and {len(self.steps) - ups} down-steps; must balance"
@@ -43,16 +66,9 @@ class LabeledDyckWord:
     def n(self) -> int:
         return len(self.steps) // 2
 
-    def label_counts(self) -> tuple[int, ...]:
-        counts = [0] * (self.k + 1)
-        for s in self.steps:
-            if s != UP:
-                counts[s] += 1
-        return tuple(counts)
-
     @property
     def zero_label_count(self) -> int:
-        return sum(1 for s in self.steps if s == 0)
+        return self.steps.count(0)
 
     def eligible_positions(self) -> tuple[int, ...]:
         """Positions (0-based) of up-steps and 0-labeled down-steps, in path order."""
@@ -67,9 +83,6 @@ class LabeledDyckWord:
         state = dict(self.__dict__)
         state.pop("_eligible", None)
         return state
-
-    def __str__(self) -> str:
-        return format_word(self)
 
 
 @dataclass(frozen=True)
@@ -94,49 +107,44 @@ class DoublyLabeledDyckWord:
 
 
 @dataclass(frozen=True)
-class DyckPrefixWord:
+class DyckPrefixWord(_StepWord):
     """Word prefix with the same step conditions, ending at height i >= 0."""
 
     steps: tuple[int, ...]
     k: int
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("label bound k must be >= 1")
         _validate_steps(self.steps, self.k)
 
     @property
     def n(self) -> int:
-        return sum(1 for s in self.steps if s == UP)
+        return self.steps.count(UP)
 
     @property
     def height(self) -> int:
         return 2 * self.n - len(self.steps)
 
-    def label_counts(self) -> tuple[int, ...]:
-        counts = [0] * (self.k + 1)
-        for s in self.steps:
-            if s != UP:
-                counts[s] += 1
-        return tuple(counts)
 
-    def __str__(self) -> str:
-        return format_word(self)
-
-
-def _validate_steps(steps: Sequence[int], k: int) -> None:
+def _validate_steps(steps: Sequence[int], k: int, floor: int = 0) -> None:
+    """Label bound, label range, weak decrease within down-runs, and no
+    down-step below height ``floor`` (the height starts at 0)."""
+    if k < 1:
+        raise ValueError("label bound k must be >= 1")
     height = 0
+    top = k  # the highest label the next down-step may carry
     for t, s in enumerate(steps):
         if s == UP:
             height += 1
+            top = k
             continue
         if not 0 <= s <= k:
             raise ValueError(f"step {t + 1}: label {s} outside 0..{k}")
         height -= 1
-        if height < 0:
+        if height < floor:
             raise ValueError(f"step {t + 1}: prefix has more down-steps than up-steps")
-        if t and steps[t - 1] != UP and steps[t - 1] < s:
+        if s > top:
             raise ValueError(f"step {t + 1}: down-run labels must weakly decrease")
+        top = s
 
 
 def tokenize_steps(text: str) -> tuple[int, ...]:
@@ -181,7 +189,11 @@ def format_word(word: LabeledDyckWord | DoublyLabeledDyckWord | DyckPrefixWord) 
     if isinstance(word, DoublyLabeledDyckWord):
         extras = ",".join(str(e) for e in word.extra)
         return format_word(word.base) + "|" + extras
-    return "".join("U" if s == UP else f"D{s}" for s in word.steps)
+    return _format_steps(word.steps)
+
+
+def _format_steps(steps: Sequence[int]) -> str:
+    return "".join("U" if s == UP else f"D{s}" for s in steps)
 
 
 def labeled_dyck_words(
@@ -197,48 +209,17 @@ def labeled_dyck_words(
         raise ValueError("labeled_dyck_words requires n >= 0 and k >= 1")
     if zeros is not None and label_counts is not None:
         raise ValueError("give at most one of zeros and label_counts")
-    remaining: list[int] | None = None
+    pool, counts = (0,) * (k + 1), [n]
     if label_counts is not None:
-        remaining = [int(c) for c in label_counts]
-        if len(remaining) != k + 1 or any(c < 0 for c in remaining) or sum(remaining) != n:
+        pool, counts = tuple(range(k + 1)), [int(c) for c in label_counts]
+        if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n:
             raise ValueError("label_counts must be k+1 nonnegative entries summing to n")
-    if zeros is not None and not 0 <= zeros <= n:
-        raise ValueError("zeros filter must lie in 0..n")
-
-    steps: list[int] = []
-
-    def walk(ups: int, downs: int, used_zeros: int) -> Iterator[LabeledDyckWord]:
-        if ups == n and downs == n:
-            yield LabeledDyckWord(tuple(steps), k)
-            return
-        in_run = steps and steps[-1] != UP
-        top = steps[-1] if in_run else k
-        if downs < ups:
-            for label in range(top, -1, -1):
-                if remaining is not None and remaining[label] == 0:
-                    continue
-                if label == 0 and zeros is not None:
-                    if used_zeros == zeros:
-                        continue
-                elif label != 0 and zeros is not None:
-                    # the zeros still owed must fit into the remaining down-steps
-                    if (zeros - used_zeros) > (n - downs - 1):
-                        continue
-                steps.append(label)
-                if remaining is not None:
-                    remaining[label] -= 1
-                yield from walk(ups, downs + 1, used_zeros + (label == 0))
-                if remaining is not None:
-                    remaining[label] += 1
-                steps.pop()
-        if ups < n:
-            if zeros is not None and (zeros - used_zeros) > (n - downs):
-                return
-            steps.append(UP)
-            yield from walk(ups + 1, downs, used_zeros)
-            steps.pop()
-
-    yield from walk(0, 0, 0)
+    if zeros is not None:
+        if not 0 <= zeros <= n:
+            raise ValueError("zeros filter must lie in 0..n")
+        # 0-labels draw on the zeros owed, every other label on the rest
+        pool, counts = (0,) + (1,) * k, [zeros, n - zeros]
+    yield from _walk([], n, n, k, pool, counts, 0, LabeledDyckWord)
 
 
 def doubly_labeled_dyck_words(n: int, k: int) -> Iterator[DoublyLabeledDyckWord]:
@@ -266,30 +247,48 @@ def dyck_prefixes(
     counts = [int(c) for c in label_counts]
     if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n - i:
         raise ValueError("label_counts must be k+1 nonnegative entries summing to n-i")
-    steps: list[int] = []
-    downs_total = n - i
+    yield from _walk([], n, n - i, k, tuple(range(k + 1)), counts, 0, DyckPrefixWord)
 
-    def walk(ups: int, downs: int) -> Iterator[DyckPrefixWord]:
-        if ups == n and downs == downs_total:
-            yield DyckPrefixWord(tuple(steps), k)
+
+def _walk(
+    prefix: list[int],
+    up_total: int,
+    down_total: int,
+    k: int,
+    pool: Sequence[int],
+    counts: list[int],
+    floor: int,
+    build: Callable[[tuple[int, ...], int], object],
+) -> Iterator:
+    """Every ``build(steps, k)`` whose steps extend ``prefix`` to up_total
+    up-steps and down_total down-steps, in the enumeration order.
+
+    Label t is available while ``counts[pool[t]]`` is positive, and the
+    counts sum to the down-steps still to place; no down-step may take the
+    height below ``floor``.  ``prefix`` and ``counts`` are worked in place
+    and restored."""
+
+    def walk(ups: int, downs: int) -> Iterator:
+        if ups == up_total and downs == down_total:
+            yield build(tuple(prefix), k)
             return
-        in_run = steps and steps[-1] != UP
-        top = steps[-1] if in_run else k
-        if downs < downs_total and downs < ups:
+        if downs < down_total and ups - downs > floor:
+            top = prefix[-1] if prefix and prefix[-1] != UP else k
             for label in range(top, -1, -1):
-                if counts[label] == 0:
-                    continue
-                steps.append(label)
-                counts[label] -= 1
-                yield from walk(ups, downs + 1)
-                counts[label] += 1
-                steps.pop()
-        if ups < n:
-            steps.append(UP)
+                slot = pool[label]
+                if counts[slot]:
+                    prefix.append(label)
+                    counts[slot] -= 1
+                    yield from walk(ups, downs + 1)
+                    counts[slot] += 1
+                    prefix.pop()
+        if ups < up_total:
+            prefix.append(UP)
             yield from walk(ups + 1, downs)
-            steps.pop()
+            prefix.pop()
 
-    yield from walk(0, 0)
+    ups = prefix.count(UP)
+    return walk(ups, len(prefix) - ups)
 
 
 def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:

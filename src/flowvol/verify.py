@@ -7,6 +7,14 @@ REPORTED-DISCREPANCY instead of FAIL, so the suites stay green while
 still witnessing the discrepancies.  Reports are assembled in canonical
 case order no matter how the grid is sharded across workers.
 
+``CASES`` maps each case id to a function of the case's parameters that
+returns (expected, actual); ``evaluate_case`` only looks the id up.  The
+functions reach ``closedforms``, ``dyck``, ``cyclic``, ``evaluate``,
+``volume`` and ``ehrhart_like`` through module attributes when they run,
+never through references taken at import, so a patched or traced function
+is the one called.  The volume identities share one case per family, fed
+by a table of net-flow heads.
+
 ``LD-LABEL-COUNTS``, ``LD-ZEROS`` and ``DLD-WEIGHTED`` read one word
 census per (n, k): a single pass of ``dyck.labeled_dyck_words`` that
 buckets the words by label-count vector and weighs them for the doubly
@@ -24,14 +32,16 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
+from math import prod
+from typing import Callable
 
 from . import closedforms as cf
 from . import cyclic, dyck
 from .ctengine import car_ct_expression, evaluate, ps_ct_expression
 from .graphs import NetFlow, caracol_graph, pitman_stanley_graph
-from .lidskii import ehrhart_like, volume
+from .lidskii import ehrhart_like, iter_dominant, volume
 
 SUITES = ("ps-ehrhart", "car-ehrhart", "dyck-counts", "cyclic", "volumes")
 
@@ -85,38 +95,8 @@ class VerificationReport:
 
 # -- case computation ----------------------------------------------------------
 
-def _ps_flow(ident: str, n: int, m: int | None, a: int, b: int, c: int, d: int) -> NetFlow:
-    if ident == "EQ1":
-        head = (a,) + (b,) * (n - 2) + (d,)
-    elif ident == "EQ2":
-        head = (a,) + (b,) * (n - 3) + (c, d)
-    elif ident == "EQ3":
-        head = (a,) + (b,) * (n - m - 2) + (c,) + (0,) * (m - 1) + (d,)
-    elif ident == "P53":
-        head = (a, b) + (c,) * (n - 1)
-    elif ident == "P55":
-        head = (a, b, c) + (d,) * (n - 2)
-    else:
-        raise ValueError(ident)
-    return NetFlow.with_sink(head)
-
-
-def _car_flow(ident: str, n: int, a: int, b: int, c: int) -> NetFlow:
-    if ident == "EQ5":
-        head = (a,) * n
-    elif ident == "EQ6":
-        head = (a,) + (b,) * (n - 1)
-    elif ident == "EQCONJ":
-        head = (a, b) + (c,) * (n - 2)
-    elif ident == "P58":
-        head = (a, b) + (c,) * (n - 1)
-    else:
-        raise ValueError(ident)
-    return NetFlow.with_sink(head)
-
-
-def _count_labeled(n: int, k: int, **filters) -> int:
-    return sum(1 for _ in dyck.labeled_dyck_words(n, k, **filters))
+def _count(items) -> int:
+    return sum(1 for _ in items)
 
 
 @lru_cache(maxsize=4)
@@ -135,215 +115,209 @@ def _word_census(n: int, k: int) -> tuple[dict[tuple[int, ...], int], int]:
     return buckets, weighted
 
 
-def _compositions(total: int, length: int) -> list[tuple[int, ...]]:
-    if length == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, length - 1):
-            out.append((first,) + rest)
-    return out
+def _label_counts_case(n: int, k: int) -> tuple[int, int]:
+    buckets, _ = _word_census(n, k)
+    comps = list(iter_dominant(n, k + 1, (0,) * (k + 1)))
+    good = sum(buckets.get(comp, 0) == cf.labeled_dyck_count(n, k, comp) for comp in comps)
+    return len(comps), good
+
+
+def _zeros_case(n: int, k: int) -> tuple[int, int]:
+    buckets, _ = _word_census(n, k)
+    good = 0
+    for d in range(n + 1):
+        enumerated = sum(count for comp, count in buckets.items() if comp[0] == d)
+        good += enumerated == cf.labeled_dyck_count_by_zeros(n, k, d)
+    return n + 1, good
+
+
+def _extended_count(n: int, comp: tuple[int, ...]) -> int:
+    """Extended words of length 2n+1 with label-count vector comp."""
+    return prod(cf.multiset_coeff(n + 1, c) for c in comp)
+
+
+def _prefix_grid(n: int, k: int, holds) -> tuple[int, int]:
+    """(cases, good) over every end height i and label-count vector comp of
+    the prefixes of (n, k); ``holds(i, comp, enumerated)`` checks one."""
+    cases = good = 0
+    for i in range(n + 1):
+        for comp in iter_dominant(n - i, k + 1, (0,) * (k + 1)):
+            cases += 1
+            good += holds(i, comp, _count(dyck.dyck_prefixes(n, i, k, comp)))
+    return cases, good
+
+
+def _shift_case(n: int, k: int) -> tuple[int, int]:
+    words = list(cyclic.extended_words(n, k))
+    good = sum(
+        cyclic.survivor_index(cyclic.shift(w)) % (n + 1)
+        == (cyclic.survivor_index(w) + 1) % (n + 1)
+        for w in words
+    )
+    return len(words), good
+
+
+def _fiber_case(n: int, k: int) -> tuple[int, int]:
+    fibers: dict[tuple[tuple[int, ...], int], int] = {}
+    preserved = True
+    for w in cyclic.extended_words(n, k):
+        base, _ = cyclic.project(w)
+        if sorted(s for s in w.letters if s != dyck.UP) != sorted(
+            s for s in base.steps if s != dyck.UP
+        ):
+            preserved = False
+        fibers[(base.steps, base.k)] = fibers.get((base.steps, base.k), 0) + 1
+    words = {(w.steps, w.k) for w in dyck.labeled_dyck_words(n, k)}
+    ok = (
+        preserved
+        and set(fibers) == words
+        and all(size == n + 1 for size in fibers.values())
+    )
+    return 1, int(ok)
+
+
+def _extended_counts_case(n: int, k: int) -> tuple[int, int]:
+    counts: dict[tuple[int, ...], int] = {}
+    for w in cyclic.extended_words(n, k):
+        key = tuple(w.letters.count(label) for label in range(k + 1))
+        counts[key] = counts.get(key, 0) + 1
+    comps = list(iter_dominant(n, k + 1, (0,) * (k + 1)))
+    good = sum(
+        counts.get(comp, 0)
+        == _extended_count(n, comp)
+        == (n + 1) * cf.labeled_dyck_count(n, k, comp)
+        for comp in comps
+    )
+    return len(comps), good
+
+
+def _candidates_case(n: int, k: int) -> tuple[int, int]:
+    cases = good = 0
+    for i in range(n + 1):
+        for w in cyclic.prefix_extended_words(n, i, k):
+            cases += 1
+            good += len(cyclic.index_candidates(w)) == i + 1
+    return cases, good
+
+
+# head of the net flow (before the implied sink entry) of each volume identity
+_PS_HEADS = {
+    "EQ1": lambda n, m, a, b, c, d: (a,) + (b,) * (n - 2) + (d,),
+    "EQ2": lambda n, m, a, b, c, d: (a,) + (b,) * (n - 3) + (c, d),
+    "EQ3": lambda n, m, a, b, c, d: (a,) + (b,) * (n - m - 2) + (c,) + (0,) * (m - 1) + (d,),
+    "P53": lambda n, m, a, b, c, d: (a, b) + (c,) * (n - 1),
+    "P55": lambda n, m, a, b, c, d: (a, b, c) + (d,) * (n - 2),
+}
+_CAR_HEADS = {
+    "EQ5": lambda n, a, b, c: (a,) * n,
+    "EQ6": lambda n, a, b, c: (a,) + (b,) * (n - 1),
+    "EQCONJ": lambda n, a, b, c: (a, b) + (c,) * (n - 2),
+    "P58": lambda n, a, b, c: (a, b) + (c,) * (n - 1),
+}
+
+
+def _ps_volume(
+    ident: str, n: int, a: int, b: int, c: int = 0, d: int = 0, m: int | None = None
+) -> tuple[int, int]:
+    graph_n = n + 1 if ident in ("P53", "P55") else n
+    flow = NetFlow.with_sink(_PS_HEADS[ident](n, m, a, b, c, d))
+    oracle = volume(pitman_stanley_graph(graph_n), flow)
+    return oracle, cf.ps_volume_closed(ident, n, a, b, c, d, m)
+
+
+def _car_oracle(ident: str, n: int, a: int, b: int = 0, c: int = 0) -> int:
+    graph_n = n + 1 if ident == "P58" else n
+    return volume(caracol_graph(graph_n), NetFlow.with_sink(_CAR_HEADS[ident](n, a, b, c)))
+
+
+def _car_volume(ident: str, n: int, a: int, b: int = 0, c: int = 0) -> tuple[int, int]:
+    return _car_oracle(ident, n, a, b, c), cf.car_volume_closed(ident, n, a, b, c)
+
+
+# case id -> fn(**params) returning (expected, actual); every entry looks up
+# the functions of the other modules when it runs, so patched ones are seen
+CASES: dict[str, Callable[..., tuple[int, int]]] = {
+    "PS-EHRHART-KPF": lambda n, k: (
+        cf.ehrhart_ps_closed(n, k), ehrhart_like(pitman_stanley_graph(n), k)
+    ),
+    "PS-EHRHART-CT": lambda n, k: (
+        cf.ehrhart_ps_closed(n, k), evaluate(ps_ct_expression(n, k))
+    ),
+    "PS-EHRHART-LD": lambda n, k: (
+        cf.ehrhart_ps_closed(n, k), _count(dyck.labeled_dyck_words(n - 1, k, zeros=0))
+    ),
+    "CAR-EHRHART-KPF": lambda n, k: (
+        cf.ehrhart_car_closed(n, k), ehrhart_like(caracol_graph(n), k)
+    ),
+    "CAR-EHRHART-CT": lambda n, k: (
+        cf.ehrhart_car_closed(n, k), evaluate(car_ct_expression(n - 1, k))
+    ),
+    "CAR-EHRHART-DLD": lambda n, k: (
+        cf.ehrhart_car_closed(n, k), _count(dyck.doubly_labeled_dyck_words(n - 2, k))
+    ),
+    # printed form pairs the n-variable expression with the family value
+    "CAR-CT-INDEXING": lambda n, k: (
+        cf.ehrhart_car_closed(n, k), evaluate(car_ct_expression(n, k))
+    ),
+    "LD-LABEL-COUNTS": _label_counts_case,
+    "LD-ZEROS": _zeros_case,
+    "DLD-WEIGHTED": lambda n, k: (cf.doubly_labeled_count(n, k), _word_census(n, k)[1]),
+    "DLD-OBJECTS": lambda n, k: (
+        cf.doubly_labeled_count(n, k), _count(dyck.doubly_labeled_dyck_words(n, k))
+    ),
+    "DLD-SUM": lambda n, k: (
+        cf.doubly_labeled_count(n, k), cf.doubly_labeled_count_via_sum(n, k)
+    ),
+    "PREFIX-COUNTS": lambda n, k: _prefix_grid(
+        n, k, lambda i, comp, got: got == cf.prefix_count_closed(n, i, k, comp)
+    ),
+    "PARKING": lambda n: (
+        (n + 1) ** (n - 1), _count(dyck.labeled_dyck_words(n, n, label_counts=(0,) + (1,) * n))
+    ),
+    "CYC-SHIFT-IND": _shift_case,
+    "CYC-FIBER": _fiber_case,
+    "CYC-EW-COUNT": _extended_counts_case,
+    "CYC-CANDIDATES": _candidates_case,
+    "CYC-PREFIX-ROUTE": lambda n, k: _prefix_grid(
+        n, k, lambda i, comp, got: (n + 1) * got == (i + 1) * _extended_count(n, comp)
+    ),
+    **{ident: partial(_ps_volume, ident) for ident in _PS_HEADS},
+    **{ident: partial(_car_volume, ident) for ident in _CAR_HEADS},
+    "EQ5-CORRECTED": lambda n, a: (_car_oracle("EQ5", n, a), cf.eq5_homogeneous(n, a)),
+    "EQCONJ-CORRECTED": lambda n, a, b, c: (
+        _car_oracle("EQCONJ", n, a, b, c), cf.eqconj_homogeneous(n, a, b, c)
+    ),
+    "PS3-VS-P53": lambda n, a, b, c: (
+        cf.ps_volume_closed("P53", n - 1, a, b, c), cf.ps3_closed(n, a, b, c)
+    ),
+    "PS4-VS-P55": lambda n, a, b, c, d: (
+        cf.ps_volume_closed("P55", n - 1, a, b, c, d), cf.ps4_closed(n, a, b, c, d)
+    ),
+    "TAIL-COEFF": lambda n, k, m: (
+        cf.tail_multinomial_sum(n, k, m), cf.tail_multinomial_closed(n, k, m)
+    ),
+    "POWER-SUM-PAIR": lambda m, a, b: (
+        cf.dominant_power_sum((a, b), m), cf.dominant_power_sum_pair(m, a, b)
+    ),
+    "POWER-SUM-TRIPLE": lambda m, a, b, c: (
+        cf.dominant_power_sum((a, b, c), m), cf.dominant_power_sum_triple(m, a, b, c)
+    ),
+    "FAN-SUM-FLOWS": lambda n, p, q, r: (
+        cf.fan_flow_sum_by_flows(n, p, q, r), cf.fan_flow_sum_closed(n, p, q, r)
+    ),
+    "FAN-SUM-PATHS": lambda n, p, q, r: (
+        cf.fan_flow_sum_by_paths(n, p, q, r), cf.fan_flow_sum_closed(n, p, q, r)
+    ),
+}
 
 
 def evaluate_case(ident: str, params: dict[str, object]) -> tuple[int, int]:
     """Compute (expected, actual) for one case; pure, so grid points can be
     sharded across processes."""
-    p = params
-    if ident == "PS-EHRHART-KPF":
-        return cf.ehrhart_ps_closed(p["n"], p["k"]), ehrhart_like(
-            pitman_stanley_graph(p["n"]), p["k"]
-        )
-    if ident == "PS-EHRHART-CT":
-        return cf.ehrhart_ps_closed(p["n"], p["k"]), evaluate(
-            ps_ct_expression(p["n"], p["k"])
-        )
-    if ident == "PS-EHRHART-LD":
-        return cf.ehrhart_ps_closed(p["n"], p["k"]), _count_labeled(
-            p["n"] - 1, p["k"], zeros=0
-        )
-    if ident == "CAR-EHRHART-KPF":
-        return cf.ehrhart_car_closed(p["n"], p["k"]), ehrhart_like(
-            caracol_graph(p["n"]), p["k"]
-        )
-    if ident == "CAR-EHRHART-CT":
-        return cf.ehrhart_car_closed(p["n"], p["k"]), evaluate(
-            car_ct_expression(p["n"] - 1, p["k"])
-        )
-    if ident == "CAR-EHRHART-DLD":
-        return cf.ehrhart_car_closed(p["n"], p["k"]), sum(
-            1 for _ in dyck.doubly_labeled_dyck_words(p["n"] - 2, p["k"])
-        )
-    if ident == "CAR-CT-INDEXING":
-        # printed form pairs the n-variable expression with the family value
-        return cf.ehrhart_car_closed(p["n"], p["k"]), evaluate(
-            car_ct_expression(p["n"], p["k"])
-        )
-    if ident == "LD-LABEL-COUNTS":
-        n, k = p["n"], p["k"]
-        buckets, _ = _word_census(n, k)
-        comps = _compositions(n, k + 1)
-        good = sum(
-            1
-            for comp in comps
-            if buckets.get(comp, 0) == cf.labeled_dyck_count(n, k, comp)
-        )
-        return len(comps), good
-    if ident == "LD-ZEROS":
-        n, k = p["n"], p["k"]
-        buckets, _ = _word_census(n, k)
-        good = 0
-        for d in range(n + 1):
-            enumerated = sum(count for comp, count in buckets.items() if comp[0] == d)
-            if enumerated == cf.labeled_dyck_count_by_zeros(n, k, d):
-                good += 1
-        return n + 1, good
-    if ident == "DLD-WEIGHTED":
-        n, k = p["n"], p["k"]
-        _, weighted = _word_census(n, k)
-        return cf.doubly_labeled_count(n, k), weighted
-    if ident == "DLD-OBJECTS":
-        n, k = p["n"], p["k"]
-        return cf.doubly_labeled_count(n, k), sum(
-            1 for _ in dyck.doubly_labeled_dyck_words(n, k)
-        )
-    if ident == "DLD-SUM":
-        n, k = p["n"], p["k"]
-        return cf.doubly_labeled_count(n, k), cf.doubly_labeled_count_via_sum(n, k)
-    if ident == "PREFIX-COUNTS":
-        n, k = p["n"], p["k"]
-        cases = good = 0
-        for i in range(n + 1):
-            for comp in _compositions(n - i, k + 1):
-                cases += 1
-                enumerated = sum(1 for _ in dyck.dyck_prefixes(n, i, k, comp))
-                if enumerated == cf.prefix_count_closed(n, i, k, comp):
-                    good += 1
-        return cases, good
-    if ident == "PARKING":
-        n = p["n"]
-        count = _count_labeled(n, n, label_counts=(0,) + (1,) * n)
-        return (n + 1) ** (n - 1), count
-    if ident == "CYC-SHIFT-IND":
-        n, k = p["n"], p["k"]
-        words = list(cyclic.extended_words(n, k))
-        good = sum(
-            1
-            for w in words
-            if cyclic.survivor_index(cyclic.shift(w)) % (n + 1)
-            == (cyclic.survivor_index(w) + 1) % (n + 1)
-        )
-        return len(words), good
-    if ident == "CYC-FIBER":
-        n, k = p["n"], p["k"]
-        fibers: dict[tuple[tuple[int, ...], int], int] = {}
-        preserved = True
-        for w in cyclic.extended_words(n, k):
-            base, _ = cyclic.project(w)
-            if sorted(s for s in w.letters if s != dyck.UP) != sorted(
-                s for s in base.steps if s != dyck.UP
-            ):
-                preserved = False
-            fibers[(base.steps, base.k)] = fibers.get((base.steps, base.k), 0) + 1
-        words = {(w.steps, w.k) for w in dyck.labeled_dyck_words(n, k)}
-        ok = (
-            preserved
-            and set(fibers) == words
-            and all(size == n + 1 for size in fibers.values())
-        )
-        return 1, int(ok)
-    if ident == "CYC-EW-COUNT":
-        n, k = p["n"], p["k"]
-        counts: dict[tuple[int, ...], int] = {}
-        for w in cyclic.extended_words(n, k):
-            key = [0] * (k + 1)
-            for s in w.letters:
-                if s != dyck.UP:
-                    key[s] += 1
-            counts[tuple(key)] = counts.get(tuple(key), 0) + 1
-        comps = _compositions(n, k + 1)
-        good = 0
-        for comp in comps:
-            expected_words = 1
-            for c in comp:
-                expected_words *= cf.multiset_coeff(n + 1, c)
-            if counts.get(comp, 0) == expected_words and expected_words == (
-                n + 1
-            ) * cf.labeled_dyck_count(n, k, comp):
-                good += 1
-        return len(comps), good
-    if ident == "CYC-CANDIDATES":
-        n, k = p["n"], p["k"]
-        cases = good = 0
-        for i in range(n + 1):
-            for w in cyclic.prefix_extended_words(n, i, k):
-                cases += 1
-                if len(cyclic.index_candidates(w)) == i + 1:
-                    good += 1
-        return cases, good
-    if ident == "CYC-PREFIX-ROUTE":
-        n, k = p["n"], p["k"]
-        cases = good = 0
-        for i in range(n + 1):
-            for comp in _compositions(n - i, k + 1):
-                cases += 1
-                enumerated = sum(1 for _ in dyck.dyck_prefixes(n, i, k, comp))
-                expected_words = i + 1
-                for c in comp:
-                    expected_words *= cf.multiset_coeff(n + 1, c)
-                if (n + 1) * enumerated == expected_words:
-                    good += 1
-        return cases, good
-    if ident in ("EQ1", "EQ2", "EQ3", "P53", "P55"):
-        n, m = p["n"], p.get("m")
-        a, b, c, d = (p.get(key, 0) for key in "abcd")
-        graph_n = n + 1 if ident in ("P53", "P55") else n
-        oracle = volume(
-            pitman_stanley_graph(graph_n), _ps_flow(ident, n, m, a, b, c, d)
-        )
-        return oracle, cf.ps_volume_closed(ident, n, a, b, c, d, m)
-    if ident in ("EQ5", "EQ6", "EQCONJ", "P58"):
-        n = p["n"]
-        a, b, c = (p.get(key, 0) for key in "abc")
-        graph_n = n + 1 if ident == "P58" else n
-        oracle = volume(caracol_graph(graph_n), _car_flow(ident, n, a, b, c))
-        return oracle, cf.car_volume_closed(ident, n, a, b, c)
-    if ident == "EQ5-CORRECTED":
-        n, a = p["n"], p["a"]
-        oracle = volume(caracol_graph(n), NetFlow.with_sink((a,) * n))
-        return oracle, cf.eq5_homogeneous(n, a)
-    if ident == "EQCONJ-CORRECTED":
-        n = p["n"]
-        a, b, c = p["a"], p["b"], p["c"]
-        oracle = volume(caracol_graph(n), NetFlow.with_sink((a, b) + (c,) * (n - 2)))
-        return oracle, cf.eqconj_homogeneous(n, a, b, c)
-    if ident == "PS3-VS-P53":
-        n = p["n"]
-        a, b, c = p["a"], p["b"], p["c"]
-        return cf.ps_volume_closed("P53", n - 1, a, b, c), cf.ps3_closed(n, a, b, c)
-    if ident == "PS4-VS-P55":
-        n = p["n"]
-        a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-        return cf.ps_volume_closed("P55", n - 1, a, b, c, d), cf.ps4_closed(n, a, b, c, d)
-    if ident == "TAIL-COEFF":
-        n, k, m = p["n"], p["k"], p["m"]
-        return cf.tail_multinomial_sum(n, k, m), cf.tail_multinomial_closed(n, k, m)
-    if ident == "POWER-SUM-PAIR":
-        m, a, b = p["m"], p["a"], p["b"]
-        return cf.dominant_power_sum((a, b), m), cf.dominant_power_sum_pair(m, a, b)
-    if ident == "POWER-SUM-TRIPLE":
-        m, a, b, c = p["m"], p["a"], p["b"], p["c"]
-        return cf.dominant_power_sum((a, b, c), m), cf.dominant_power_sum_triple(
-            m, a, b, c
-        )
-    if ident == "FAN-SUM-FLOWS":
-        n, q, r = p["n"], p["q"], p["r"]
-        pp = p["p"]
-        return cf.fan_flow_sum_by_flows(n, pp, q, r), cf.fan_flow_sum_closed(n, pp, q, r)
-    if ident == "FAN-SUM-PATHS":
-        n, q, r = p["n"], p["q"], p["r"]
-        pp = p["p"]
-        return cf.fan_flow_sum_by_paths(n, pp, q, r), cf.fan_flow_sum_closed(n, pp, q, r)
-    raise ValueError(f"unknown case id {ident!r}")
+    case = CASES.get(ident)
+    if case is None:
+        raise ValueError(f"unknown case id {ident!r}")
+    return case(**params)
 
 
 # -- suite construction ----------------------------------------------------------
@@ -353,14 +327,20 @@ def _spec(ident: str, **params: object) -> CaseSpec:
 
 
 def build_suite(suite: str, max_n: int | None = None, max_k: int | None = None) -> list[CaseSpec]:
+    """Case specs of one suite, or of every suite in order for "all"; unset
+    bounds take the suite's defaults, and 0 is a bound like any other."""
+    if max_n is not None and max_n < 0:
+        raise ValueError("max_n must be >= 0")
+    if max_k is not None and max_k < 1:
+        raise ValueError("max_k must be >= 1")
     if suite == "all":
         specs: list[CaseSpec] = []
         for name in SUITES:
             specs.extend(build_suite(name, max_n, max_k))
         return specs
     if suite == "ps-ehrhart":
-        top_n = max_n or 6
-        top_k = max_k or 4
+        top_n = 6 if max_n is None else max_n
+        top_k = 4 if max_k is None else max_k
         return [
             _spec(ident, n=n, k=k)
             for n in range(2, top_n + 1)
@@ -368,8 +348,8 @@ def build_suite(suite: str, max_n: int | None = None, max_k: int | None = None) 
             for ident in ("PS-EHRHART-KPF", "PS-EHRHART-CT", "PS-EHRHART-LD")
         ]
     if suite == "car-ehrhart":
-        top_n = max_n or 6
-        top_k = max_k or 3
+        top_n = 6 if max_n is None else max_n
+        top_k = 3 if max_k is None else max_k
         return [
             _spec(ident, n=n, k=k)
             for n in range(3, top_n + 1)
@@ -382,8 +362,8 @@ def build_suite(suite: str, max_n: int | None = None, max_k: int | None = None) 
             )
         ]
     if suite == "dyck-counts":
-        top_n = max_n or 6
-        top_k = max_k or 3
+        top_n = 6 if max_n is None else max_n
+        top_k = 3 if max_k is None else max_k
         specs = []
         for n in range(0, top_n + 1):
             for k in range(1, top_k + 1):
@@ -398,8 +378,8 @@ def build_suite(suite: str, max_n: int | None = None, max_k: int | None = None) 
             specs.append(_spec("PARKING", n=n))
         return specs
     if suite == "cyclic":
-        top_n = max_n or 4
-        top_k = max_k or 2
+        top_n = 4 if max_n is None else max_n
+        top_k = 2 if max_k is None else max_k
         specs = []
         for n in range(0, top_n + 1):
             for k in range(1, top_k + 1):
@@ -410,7 +390,7 @@ def build_suite(suite: str, max_n: int | None = None, max_k: int | None = None) 
                 specs.append(_spec("CYC-PREFIX-ROUTE", n=n, k=k))
         return specs
     if suite == "volumes":
-        top_n = max_n or 7
+        top_n = 7 if max_n is None else max_n
         specs = []
         for n in range(2, min(top_n, 7) + 1):
             for a, b, d in product(GRID, repeat=3):

@@ -151,6 +151,27 @@ def test_enumerate_rejects_stray_filters(capsys):
     assert "filters" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ld", "--n", "2", "--k", "1", "--i", "1"],
+        ["prefix", "--n", "2", "--i", "1", "--k", "1", "--comp", "1,0", "--zeros", "3"],
+        ["ew", "--n", "2", "--k", "1", "--comp", "1,1"],
+        ["dld", "--n", "2", "--k", "1", "--i", "0"],
+    ],
+)
+def test_enumerate_rejects_filters_the_kind_does_not_take(capsys, argv):
+    code, out, err = run_cli(capsys, "enumerate", *argv, "--count")
+    assert (code, out) == (2, "")
+    assert "takes no" in err
+
+
+def test_enumerate_ew_rejects_negative_size(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "ew", "--n", "-1", "--k", "1", "--count")
+    assert (code, out) == (2, "")
+    assert "error" in err
+
+
 def test_ct_evaluate(capsys):
     code, out, _ = run_cli(capsys, "ct", "--expr", "m:-1,0; p:1^1,2^1; d:1-2")
     assert (code, out) == (0, "2\n")

@@ -151,3 +151,10 @@ def test_extended_words_count():
     # inserting downs after any of the n+1 ups independently per label
     assert sum(1 for _ in extended_words(2, 1)) == multiset_coeff(6, 2)
     assert sum(1 for _ in extended_words(3, 2)) == multiset_coeff(12, 3)
+
+
+def test_extended_words_reject_negative_size():
+    with pytest.raises(ValueError):
+        list(extended_words(-1, 1))
+    with pytest.raises(ValueError):
+        list(extended_words(2, 0))

@@ -156,7 +156,7 @@ def test_word_census_matches_filtered_enumerators():
     for n in range(0, 5):
         for k in range(1, 4):
             buckets, weighted = verify._word_census(n, k)
-            for comp in verify._compositions(n, k + 1):
+            for comp in lidskii.iter_dominant(n, k + 1, (0,) * (k + 1)):
                 filtered = dyck.labeled_dyck_words(n, k, label_counts=comp)
                 assert buckets.get(comp, 0) == sum(1 for _ in filtered)
             for d in range(n + 1):
@@ -199,3 +199,50 @@ def test_planted_word_loss_fails_every_census_case(monkeypatch, capsys, clean_ru
         "LD-ZEROS": {verify.FAIL},
         "DLD-WEIGHTED": {verify.FAIL},
     }
+
+
+@pytest.mark.parametrize(
+    "suite,failed",
+    [
+        ("dyck-counts", {"LD-LABEL-COUNTS", "LD-ZEROS", "DLD-WEIGHTED", "DLD-OBJECTS",
+                         "PREFIX-COUNTS", "PARKING"}),
+        ("cyclic", {"CYC-FIBER", "CYC-EW-COUNT", "CYC-PREFIX-ROUTE"}),
+    ],
+)
+def test_planted_walker_loss_fails_the_suite(monkeypatch, capsys, suite, failed):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    original = dyck._walk
+    monkeypatch.setattr(dyck, "_walk", lambda *args: iter(list(original(*args))[:-1]))
+    assert main(["verify", "--suite", suite, "--max-n", "2", "--max-k", "1"]) == 1
+    assert _failed_ids(capsys) == failed
+
+
+def test_case_table_covers_exactly_the_emitted_ids():
+    assert {spec.ident for spec in verify.build_suite("all")} == set(verify.CASES)
+
+
+def test_unknown_case_id_rejected():
+    with pytest.raises(ValueError, match="NOPE"):
+        verify.evaluate_case("NOPE", {})
+
+
+def test_zero_bounds_are_honoured(monkeypatch, capsys):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    specs = verify.build_suite("dyck-counts", max_n=0)
+    assert len(specs) == 18
+    assert {dict(spec.params)["n"] for spec in specs} == {0}
+    assert len(verify.build_suite("dyck-counts", max_n=1)) == 37
+    assert verify.build_suite("ps-ehrhart", max_n=0) == []
+    assert main(["verify", "--suite", "dyck-counts", "--max-n", "0"]) == 0
+    assert capsys.readouterr().out.endswith("summary pass=18 fail=0 reported=0\n")
+
+
+@pytest.mark.parametrize("bounds", [{"max_n": -1}, {"max_k": 0}, {"max_k": -2}])
+def test_bad_bounds_rejected(capsys, bounds):
+    with pytest.raises(ValueError):
+        verify.build_suite("all", **bounds)
+    argv = ["verify", "--suite", "cyclic"]
+    for key, value in bounds.items():
+        argv += ["--" + key.replace("_", "-"), str(value)]
+    assert main(argv) == 2
+    assert "error" in capsys.readouterr().err
