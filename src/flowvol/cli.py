@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when independent computation paths disagree or
-a verification suite records a FAIL, 2 on usage or parse errors.
+a verification suite records a FAIL, 2 on usage or parse errors, on a series
+oracle that finds no stable cap and on a report file that cannot be written.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 from . import closedforms as cf
 from . import cyclic, dyck, verify
 from .ctengine import (
+    SeriesUnstableError,
     car_ct_expression,
     evaluate,
     evaluate_series,
@@ -29,7 +31,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, SeriesUnstableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -219,8 +221,11 @@ def _cmd_verify(args) -> int:
     else:
         rendered = verify.render_json(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(rendered)
+        except OSError as exc:
+            raise ValueError(f"cannot write the --out file: {exc}") from exc
     else:
         sys.stdout.write(rendered)
     return 0 if report.ok else 1

@@ -16,7 +16,8 @@ vector to the number of ways of reaching it.  A variable's entry leaves
 the state when the sweep reaches it.
 
 The series oracle expands truncated Laurent series and certifies its cap
-by computing the value at cap and cap+1.
+by computing the value at cap and cap+1; a cap below the largest monomial
+exponent is refused, since both values would then be 0.
 """
 
 from __future__ import annotations
@@ -120,9 +121,16 @@ def evaluate(expr: CTExpression) -> int:
 
 
 def evaluate_series_oracle(expr: CTExpression, degree_cap: int) -> int:
-    """Truncated-series evaluation, certified by agreement at cap and cap+1."""
+    """Truncated-series evaluation, certified by agreement at cap and cap+1.
+    A cap below the largest monomial exponent would truncate the monomial
+    itself to 0 at both caps, so it raises SeriesUnstableError."""
     if degree_cap < 1:
         raise ValueError("degree_cap must be >= 1")
+    widest = max(abs(e) for e in expr.monomial)
+    if degree_cap < widest:
+        raise SeriesUnstableError(
+            f"degree cap {degree_cap} is below the monomial exponent {widest}"
+        )
     lo = _series_value(expr, degree_cap)
     hi = _series_value(expr, degree_cap + 1)
     if lo != hi:
@@ -133,8 +141,12 @@ def evaluate_series_oracle(expr: CTExpression, degree_cap: int) -> int:
 
 
 def evaluate_series(expr: CTExpression) -> int:
-    """Series oracle with the default cap, doubling until stable."""
-    cap = 2 * (expr.nvars + sum(k for _, k in expr.pow_factors))
+    """Series oracle with the default cap, doubling until stable; the cap
+    starts at least as wide as the monomial."""
+    cap = max(
+        2 * (expr.nvars + sum(k for _, k in expr.pow_factors)),
+        max(abs(e) for e in expr.monomial),
+    )
     for _ in range(8):
         try:
             return evaluate_series_oracle(expr, cap)
@@ -145,8 +157,6 @@ def evaluate_series(expr: CTExpression) -> int:
 
 def _series_value(expr: CTExpression, cap: int) -> int:
     n = expr.nvars
-    if any(abs(e) > cap for e in expr.monomial):
-        return 0
     poly: dict[tuple[int, ...], int] = {expr.monomial: 1}
     for v in range(1, n + 1):
         for i, k in expr.pow_factors:

@@ -21,6 +21,14 @@ buckets the words by label-count vector and weighs them for the doubly
 labeled count.  The census sits in a small cache that ``run_suite``
 clears at entry, so each run, and each pool worker it forks, enumerates
 the words afresh.
+
+With ``FLOWVOL_WORKERS`` above 1, ``run_suite`` hands a process pool one
+task per (n, k) grid point (``_pool_tasks``): every case of the run with
+that n and k, a missing parameter counting as 0.  Tasks are dispatched in
+descending (n, k) order, so the heaviest grid points start first and the
+cheap ones fill the tail; the three census cases of a grid point share
+one worker and one census.  The pool starts no more processes than there
+are tasks, and the records are sorted back into case order.
 """
 
 from __future__ import annotations
@@ -476,18 +484,34 @@ def worker_count() -> int:
     return value
 
 
+def _run_many(items) -> list[tuple[int, CaseRecord]]:
+    return [_run_one(item) for item in items]
+
+
+def _pool_tasks(specs: list[CaseSpec]) -> list[list[tuple[int, CaseSpec]]]:
+    """The pool's units of work: the (index, spec) pairs of the cases that
+    share one (n, k), a missing n or k counting as 0, in descending (n, k)
+    order.  The census cases of a grid point thus share one worker and one
+    census, and as case cost grows with n and k in every suite, the order
+    is close to largest first."""
+    tasks: dict[tuple[int, int], list[tuple[int, CaseSpec]]] = {}
+    for index, spec in enumerate(specs):
+        params = dict(spec.params)
+        tasks.setdefault((params.get("n", 0), params.get("k", 0)), []).append((index, spec))
+    return [tasks[key] for key in sorted(tasks, reverse=True)]
+
+
 def run_suite(suite: str, max_n: int | None = None, max_k: int | None = None) -> VerificationReport:
     specs = build_suite(suite, max_n, max_k)
     _word_census.cache_clear()
     start = time.monotonic()
     workers = worker_count()
-    indexed = list(enumerate(specs))
-    if workers > 1 and len(specs) > 1:
-        # case costs are wildly uneven; tiny chunks balance the heavy ones
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, indexed, chunksize=1))
+    tasks = _pool_tasks(specs) if workers > 1 else []
+    if len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            results = [pair for task in pool.map(_run_many, tasks) for pair in task]
     else:
-        results = [_run_one(item) for item in indexed]
+        results = _run_many(enumerate(specs))
     results.sort(key=lambda pair: pair[0])
     duration_ms = int((time.monotonic() - start) * 1000)
     return VerificationReport(suite, tuple(record for _, record in results), duration_ms)

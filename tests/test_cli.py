@@ -4,7 +4,7 @@ import pytest
 
 from flowvol import cli
 from flowvol.cli import main
-from flowvol.ctengine import flow_count_expression, format_ct_expression
+from flowvol.ctengine import SeriesUnstableError, flow_count_expression, format_ct_expression
 from flowvol.graphs import parse_graph_spec, parse_net_flow
 
 # a unit supply at the start of the 400-vertex Pitman-Stanley graph, with one
@@ -187,6 +187,24 @@ def test_ct_all_methods(capsys):
     assert lines[2] == "AGREE"
 
 
+@pytest.mark.parametrize(
+    ("method", "expected"), [("series", "1\n"), ("all", "cp=1\nseries=1\nAGREE\n")]
+)
+def test_ct_series_beyond_the_default_cap(capsys, method, expected):
+    code, out, _ = run_cli(capsys, "ct", "--expr", "m:-200; p:1^1", "--method", method)
+    assert (code, out) == (0, expected)
+
+
+def test_ct_unstable_series_exits_2(capsys, monkeypatch):
+    def unstable(expr):
+        raise SeriesUnstableError("no stable cap found up to 4096")
+
+    monkeypatch.setattr(cli, "evaluate_series", unstable)
+    code, out, err = run_cli(capsys, "ct", "--expr", "m:0; p:1^1", "--method", "series")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "stable cap" in err
+
+
 def test_ct_long_path(capsys):
     graph = parse_graph_spec("ps:400")
     expr = flow_count_expression(graph, parse_net_flow(LONG_PATH_FLOW, 400))
@@ -247,6 +265,18 @@ def test_verify_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("id,params")
+
+
+def test_verify_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.txt"
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--suite", "ps-ehrhart", "--max-n", "2", "--max-k", "1",
+        "--out", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and str(target) in err
+    assert not target.exists()
 
 
 def test_verify_reported_discrepancies_keep_exit_zero(capsys):

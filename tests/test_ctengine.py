@@ -58,6 +58,28 @@ def test_series_auto_doubles_until_stable():
     assert evaluate_series(ps_ct_expression(4, 2)) == evaluate(ps_ct_expression(4, 2))
 
 
+# CT of x^-200 (1-x)^-1 is the coefficient of x^200 in 1/(1-x), namely 1;
+# a cap below 200 drops the monomial at cap and cap+1 alike
+WIDE_MONOMIAL = CTExpression(1, (-200,), ((1, 1),))
+
+
+def test_series_oracle_rejects_caps_below_the_monomial():
+    for cap in (4, 199):
+        with pytest.raises(SeriesUnstableError, match="monomial"):
+            evaluate_series_oracle(WIDE_MONOMIAL, cap)
+    assert evaluate_series_oracle(WIDE_MONOMIAL, 200) == 1
+    assert evaluate_series_oracle(CTExpression(2, (0, 9), ((1, 1),), ((1, 2),)), 9) == 0
+
+
+def test_series_starts_at_the_monomial_width():
+    assert evaluate_series(WIDE_MONOMIAL) == evaluate(WIDE_MONOMIAL) == 1
+    # eight doublings of the default cap 4 stop short of 1000
+    wider = CTExpression(1, (-1000,), ((1, 1),))
+    assert evaluate_series(wider) == evaluate(wider) == 1
+    wide_positive = CTExpression(2, (-30, 25), ((1, 1), (2, 1)), ((1, 2),))
+    assert evaluate_series(wide_positive) == evaluate(wide_positive)
+
+
 def test_fan_expression_has_no_duplicate_diffs():
     for n in range(2, 7):
         expr = car_ct_expression(n, 1)

@@ -168,11 +168,14 @@ def test_word_census_matches_filtered_enumerators():
             )
 
 
+CENSUS_IDS = ("LD-LABEL-COUNTS", "LD-ZEROS", "DLD-WEIGHTED")
+
+
 def _census_case_statuses(capsys) -> dict[str, set[str]]:
     statuses: dict[str, set[str]] = {}
     for line in capsys.readouterr().out.splitlines():
         status, ident = line.split()[:2]
-        if ident in ("LD-LABEL-COUNTS", "LD-ZEROS", "DLD-WEIGHTED"):
+        if ident in CENSUS_IDS:
             statuses.setdefault(ident, set()).add(status)
     return statuses
 
@@ -246,3 +249,93 @@ def test_bad_bounds_rejected(capsys, bounds):
         argv += ["--" + key.replace("_", "-"), str(value)]
     assert main(argv) == 2
     assert "error" in capsys.readouterr().err
+
+
+def _grid_point(spec) -> tuple[int, int]:
+    params = dict(spec.params)
+    return params.get("n", 0), params.get("k", 0)
+
+
+def test_pool_tasks_partition_the_suite_by_grid_point():
+    specs = verify.build_suite("all")
+    tasks = verify._pool_tasks(specs)
+    indices = [index for task in tasks for index, _ in task]
+    assert sorted(indices) == list(range(len(specs)))
+    assert all(specs[index] == spec for task in tasks for index, spec in task)
+    points = [{_grid_point(spec) for _, spec in task} for task in tasks]
+    assert all(len(point) == 1 for point in points)
+    keys = [point.pop() for point in points]
+    assert keys == sorted(set(keys), reverse=True)
+    census = {}
+    for number, task in enumerate(tasks):
+        for _, spec in task:
+            if spec.ident in CENSUS_IDS:
+                census.setdefault(_grid_point(spec), set()).add(number)
+    assert len(census) == 21
+    assert all(len(numbers) == 1 for numbers in census.values())
+
+
+def _recording_pool(monkeypatch) -> list[tuple[int, list]]:
+    """Replace verify's ProcessPoolExecutor with one that runs the tasks in
+    this process; each pool made appends (max_workers, tasks) to the list."""
+    pools: list[tuple[int, list]] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            pools.append((self.max_workers, tasks))
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+@pytest.mark.parametrize(("workers", "size"), [("2", 2), ("3", 3), ("4", 4), ("64", 4)])
+def test_pool_size_is_capped_by_the_task_count(monkeypatch, workers, size):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    sequential = verify.run_suite("ps-ehrhart", max_n=3, max_k=2)
+    pools = _recording_pool(monkeypatch)
+    monkeypatch.setenv("FLOWVOL_WORKERS", workers)
+    report = verify.run_suite("ps-ehrhart", max_n=3, max_k=2)
+    [(max_workers, tasks)] = pools
+    assert max_workers == size
+    assert [_grid_point(task[0][1]) for task in tasks] == [(3, 2), (3, 1), (2, 2), (2, 1)]
+    assert report.cases == sequential.cases
+
+
+def test_single_task_runs_without_a_pool(monkeypatch):
+    pools = _recording_pool(monkeypatch)
+    monkeypatch.setenv("FLOWVOL_WORKERS", "2")
+    assert verify.run_suite("ps-ehrhart", max_n=2, max_k=1).ok
+    assert pools == []
+
+
+def _reports(report) -> tuple[str, str, dict]:
+    payload = json.loads(verify.render_json(report))
+    payload.pop("duration_ms")
+    return verify.render_text(report), verify.render_csv(report), payload
+
+
+@pytest.mark.parametrize("workers", ["2", "3"])
+def test_pooled_all_suite_matches_sequential(monkeypatch, workers):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    sequential = _reports(verify.run_suite("all", max_n=3, max_k=2))
+    monkeypatch.setenv("FLOWVOL_WORKERS", workers)
+    assert _reports(verify.run_suite("all", max_n=3, max_k=2)) == sequential
+
+
+def test_planted_closed_form_error_fails_the_pooled_run(monkeypatch, capsys):
+    monkeypatch.setenv("FLOWVOL_WORKERS", "2")
+    original = verify.cf.doubly_labeled_count
+    monkeypatch.setattr(verify.cf, "doubly_labeled_count", lambda n, k: original(n, k) + 1)
+    assert main(["verify", "--suite", "all", "--max-n", "3", "--max-k", "2"]) == 1
+    assert _failed_ids(capsys) == {"DLD-WEIGHTED", "DLD-OBJECTS", "DLD-SUM"}
