@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success, 1 when independent computation paths disagree or
-a verification suite records a FAIL, 2 on usage or parse errors, on a series
-oracle that finds no stable cap and on a report file that cannot be written.
+a verification suite records a FAIL, 2 on usage or parse errors, on series
+values that disagree at cap and cap+1 and on a report file that cannot be
+written.
 """
 
 from __future__ import annotations
@@ -145,15 +146,18 @@ def _ehrhart_paths(args) -> dict:
             raise ValueError(f"method {args.method!r} needs --family")
         return paths
     n = args.n
+    # the family's graph is built, and so its n checked, before any path runs
     if args.family == "ps":
+        graph = pitman_stanley_graph(n)
         return {
-            "kpf": lambda: ehrhart_like(pitman_stanley_graph(n), k),
+            "kpf": lambda: ehrhart_like(graph, k),
             "ct": lambda: evaluate(ps_ct_expression(n, k)),
             "enum": lambda: sum(1 for _ in dyck.labeled_dyck_words(n - 1, k, zeros=0)),
             "closed": lambda: cf.ehrhart_ps_closed(n, k),
         }
+    graph = caracol_graph(n)
     return {
-        "kpf": lambda: ehrhart_like(caracol_graph(n), k),
+        "kpf": lambda: ehrhart_like(graph, k),
         "ct": lambda: evaluate(car_ct_expression(n - 1, k)),
         "enum": lambda: sum(1 for _ in dyck.doubly_labeled_dyck_words(n - 2, k)),
         "closed": lambda: cf.ehrhart_car_closed(n, k),

@@ -15,9 +15,13 @@ that some earlier diff enters, and the sweep keeps a dict from that
 vector to the number of ways of reaching it.  A variable's entry leaves
 the state when the sweep reaches it.
 
-The series oracle expands truncated Laurent series and certifies its cap
-by computing the value at cap and cap+1; a cap below the largest monomial
-exponent is refused, since both values would then be 0.
+The series oracle expands truncated Laurent series at a cap derived from
+the expression alone.  Let B_v = max(0, -monomial[v] + sum of B_i + 1 over
+the diffs (i, v)).  In a term that survives, x_v's exponent falls from
+monomial[v] to at least -B_v as diffs enter v, then only rises to 0, so a
+diff leaving v takes l <= B_v.  A cap of max |monomial|, every B_v, and
+B_v + 1 where a diff leaves v (l runs below the cap) thus truncates no
+surviving term; a smaller cap is refused, and cap+1 is checked too.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .graphs import DirectedStepGraph, NetFlow
 
 
 class SeriesUnstableError(ArithmeticError):
-    """Truncated-series values at cap and cap+1 disagree; raise the cap."""
+    """A cap below the derived one, or series values at cap and cap+1 that disagree."""
 
 
 @dataclass(frozen=True)
@@ -121,16 +125,11 @@ def evaluate(expr: CTExpression) -> int:
 
 
 def evaluate_series_oracle(expr: CTExpression, degree_cap: int) -> int:
-    """Truncated-series evaluation, certified by agreement at cap and cap+1.
-    A cap below the largest monomial exponent would truncate the monomial
-    itself to 0 at both caps, so it raises SeriesUnstableError."""
-    if degree_cap < 1:
-        raise ValueError("degree_cap must be >= 1")
-    widest = max(abs(e) for e in expr.monomial)
-    if degree_cap < widest:
-        raise SeriesUnstableError(
-            f"degree cap {degree_cap} is below the monomial exponent {widest}"
-        )
+    """Truncated-series value at degree_cap, checked against cap+1.  A cap
+    below the derived bound on the budgets B_v raises SeriesUnstableError."""
+    need = _series_cap(expr)
+    if degree_cap < need:
+        raise SeriesUnstableError(f"cap {degree_cap} is below {need}, the monomial and budget bound")
     lo = _series_value(expr, degree_cap)
     hi = _series_value(expr, degree_cap + 1)
     if lo != hi:
@@ -141,18 +140,20 @@ def evaluate_series_oracle(expr: CTExpression, degree_cap: int) -> int:
 
 
 def evaluate_series(expr: CTExpression) -> int:
-    """Series oracle with the default cap, doubling until stable; the cap
-    starts at least as wide as the monomial."""
-    cap = max(
-        2 * (expr.nvars + sum(k for _, k in expr.pow_factors)),
-        max(abs(e) for e in expr.monomial),
-    )
-    for _ in range(8):
-        try:
-            return evaluate_series_oracle(expr, cap)
-        except SeriesUnstableError:
-            cap *= 2
-    raise SeriesUnstableError(f"no stable cap found up to {cap}")
+    """Series oracle at the derived cap, which bounds the budget B_v of every
+    variable and so truncates no surviving term."""
+    return evaluate_series_oracle(expr, _series_cap(expr))
+
+
+def _series_cap(expr: CTExpression) -> int:
+    budget = [-e for e in expr.monomial]
+    widest = [1] + [abs(e) for e in expr.monomial]
+    # diffs are sorted, so every diff into i comes before the diffs leaving i
+    for i, j in expr.diff_factors:
+        spent = max(0, budget[i - 1]) + 1
+        budget[j - 1] += spent
+        widest.append(spent)
+    return max(widest + budget)
 
 
 def _series_value(expr: CTExpression, cap: int) -> int:
@@ -188,14 +189,12 @@ def _multiply_two(poly, low, high, cap):
     out: dict[tuple[int, ...], int] = {}
     li, hi = low - 1, high - 1
     for exps, coeff in poly.items():
+        key = list(exps)
         for l in range(cap):
-            el = exps[li] + l
-            eh = exps[hi] - l - 1
-            if abs(el) > cap or abs(eh) > cap:
+            key[li] = exps[li] + l
+            key[hi] = exps[hi] - l - 1
+            if abs(key[li]) > cap or abs(key[hi]) > cap:
                 continue
-            key = list(exps)
-            key[li] = el
-            key[hi] = eh
             tkey = tuple(key)
             out[tkey] = out.get(tkey, 0) + coeff
     return {k: c for k, c in out.items() if c}

@@ -108,6 +108,16 @@ def test_ehrhart_explicit_graph_rejects_family_methods(capsys):
     assert "family" in err
 
 
+@pytest.mark.parametrize("method", ["kpf", "ct", "enum", "closed", "all"])
+@pytest.mark.parametrize(("family", "n"), [("ps", "1"), ("car", "2"), ("ps", "-1")])
+def test_ehrhart_rejects_sizes_below_the_family_minimum(capsys, family, n, method):
+    code, out, err = run_cli(
+        capsys, "ehrhart", "--family", family, "--n", n, "--k", "1", "--method", method
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "requires n >=" in err
+
+
 def test_enumerate_ld_list(capsys):
     code, out, _ = run_cli(
         capsys, "enumerate", "ld", "--n", "2", "--k", "1", "--zeros", "0", "--list"
@@ -192,6 +202,14 @@ def test_ct_all_methods(capsys):
 )
 def test_ct_series_beyond_the_default_cap(capsys, method, expected):
     code, out, _ = run_cli(capsys, "ct", "--expr", "m:-200; p:1^1", "--method", method)
+    assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    ("method", "expected"), [("series", "120\n"), ("all", "cp=120\nseries=120\nAGREE\n")]
+)
+def test_ct_series_budget_wider_than_the_monomial(capsys, method, expected):
+    code, out, _ = run_cli(capsys, "ct", "--expr", "m:-7,-6; p:2^3; d:1-2", "--method", method)
     assert (code, out) == (0, expected)
 
 

@@ -1,8 +1,9 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from flowvol import ctengine
 from flowvol.closedforms import ehrhart_car_closed, ehrhart_ps_closed
 from flowvol.ctengine import (
     CTExpression,
@@ -174,6 +175,55 @@ def fanned_expression(draw):
 @given(fanned_expression())
 def test_evaluate_matches_series_on_fans(expr):
     assert evaluate(expr) == evaluate_series(expr)
+
+
+# x1 forces l = 7 on the diff, so x2's budget is 6 + 8 = 14 and the value is
+# comb(16, 14) = 120: the budget of x2 outgrows the monomial's 7
+BUDGET_WIDER_THAN_MONOMIAL = parse_ct_expression("m:-7,-6; p:2^3; d:1-2")
+# the diff leaving x1 must take l = 4 = B_1, so a cap of 4, whose l runs
+# only to 3, misses the one surviving term: the cap needs B_1 + 1
+DIFF_AT_FULL_BUDGET = parse_ct_expression("m:-4,2; p:2^1; d:1-2")
+
+
+def test_series_cap_covers_budgets_wider_than_the_monomial():
+    with pytest.raises(SeriesUnstableError, match="monomial"):
+        evaluate_series_oracle(BUDGET_WIDER_THAN_MONOMIAL, 13)
+    assert evaluate_series_oracle(BUDGET_WIDER_THAN_MONOMIAL, 14) == 120
+    assert evaluate_series(BUDGET_WIDER_THAN_MONOMIAL) == 120
+
+
+@st.composite
+def negative_monomial_expression(draw):
+    """Monomial entries in [-8, 8], any set of diffs and pows 1-3: budgets
+    that outgrow the monomial and each other."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    monomial = draw(
+        st.lists(st.integers(min_value=-8, max_value=8), min_size=nvars, max_size=nvars)
+    )
+    powk = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=nvars, max_size=nvars))
+    pows = [(i, k) for i, k in enumerate(powk, start=1) if k]
+    pairs = [(i, j) for i in range(1, nvars) for j in range(i + 1, nvars + 1)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    diffs = [pair for pair, kept in zip(pairs, keep) if kept]
+    return CTExpression(nvars, tuple(monomial), tuple(pows), tuple(diffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(negative_monomial_expression())
+@example(BUDGET_WIDER_THAN_MONOMIAL)
+@example(DIFF_AT_FULL_BUDGET)
+def test_evaluate_matches_series_on_negative_monomials(expr):
+    assert evaluate(expr) == evaluate_series(expr)
+
+
+def test_series_cap_never_consults_evaluate(monkeypatch):
+    def refuse(expr):
+        raise AssertionError("the series oracle called evaluate")
+
+    monkeypatch.setattr(ctengine, "evaluate", refuse)
+    assert evaluate_series(BUDGET_WIDER_THAN_MONOMIAL) == 120
+    assert evaluate_series(DIFF_AT_FULL_BUDGET) == 1
+    assert evaluate_series(car_ct_expression(5, 2)) == ehrhart_car_closed(6, 2)
 
 
 @pytest.mark.parametrize(("family", "n", "k"), [("ps", 20, 3), ("ps", 30, 3), ("car", 12, 2), ("car", 14, 2)])
