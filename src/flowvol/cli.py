@@ -4,6 +4,12 @@ Exit codes: 0 on success, 1 when independent computation paths disagree or
 a verification suite records a FAIL, 2 on usage or parse errors, on series
 values that disagree at cap and cap+1 and on a report file that cannot be
 written.
+
+``volume``, ``ehrhart`` and ``ct`` each build a dict of named paths and hand
+it to ``_run_paths``: one path prints its value, and ``--method all``
+computes every value before it prints any.  The family routes of
+``ehrhart --family`` come from ``verify.ehrhart_paths``, the single owner of
+the mapping from a family's n to each route's arguments.
 """
 
 from __future__ import annotations
@@ -11,18 +17,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import closedforms as cf
 from . import cyclic, dyck, verify
 from .ctengine import (
     SeriesUnstableError,
-    car_ct_expression,
     evaluate,
     evaluate_series,
     flow_count_expression,
     parse_ct_expression,
-    ps_ct_expression,
 )
-from .graphs import caracol_graph, parse_graph_spec, parse_net_flow, pitman_stanley_graph
+from .graphs import parse_graph_spec, parse_net_flow
 from .kostant import count_flows
 from .lidskii import ehrhart_like, volume
 
@@ -102,20 +105,28 @@ def _cmd_kpf(args) -> int:
     return 0
 
 
+def _run_paths(method: str, paths: dict) -> int:
+    """Print the value of path ``method``, or for "all" compute every path's
+    value first, then print ``name=value`` lines and AGREE or DISAGREE."""
+    if method != "all":
+        print(paths[method]())
+        return 0
+    values = {name: path() for name, path in paths.items()}
+    for name, value in values.items():
+        print(f"{name}={value}")
+    agree = len(set(values.values())) == 1
+    print("AGREE" if agree else "DISAGREE")
+    return 0 if agree else 1
+
+
 def _cmd_volume(args) -> int:
     graph = parse_graph_spec(args.graph)
     flow = parse_net_flow(args.flow, graph.vertex_count)
-    value = volume(graph, flow)
-    if args.method == "kpf":
-        print(value)
-        return 0
-    # the same Lidskii sum, with its flow counts taken as constant terms
-    second = volume(graph, flow, lambda g, f: evaluate(flow_count_expression(g, f)))
-    print(f"kpf={value}")
-    print(f"ct={second}")
-    agree = value == second
-    print("AGREE" if agree else "DISAGREE")
-    return 0 if agree else 1
+    return _run_paths(args.method, {
+        "kpf": lambda: volume(graph, flow),
+        # the same Lidskii sum, with its flow counts taken as constant terms
+        "ct": lambda: volume(graph, flow, lambda g, f: evaluate(flow_count_expression(g, f))),
+    })
 
 
 def _cmd_ehrhart(args) -> int:
@@ -123,45 +134,14 @@ def _cmd_ehrhart(args) -> int:
         raise ValueError("--family needs --n")
     if args.k < 1:
         raise ValueError("--k must be >= 1")
-    paths = _ehrhart_paths(args)
-    if args.method != "all":
-        print(paths[args.method]())
-        return 0
-    values = {}
-    for name in ("kpf", "ct", "enum", "closed"):
-        if name in paths:
-            values[name] = paths[name]()
-            print(f"{name}={values[name]}")
-    agree = len(set(values.values())) == 1
-    print("AGREE" if agree else "DISAGREE")
-    return 0 if agree else 1
-
-
-def _ehrhart_paths(args) -> dict:
-    k = args.k
-    if args.graph is not None:
-        graph = parse_graph_spec(args.graph)
-        paths = {"kpf": lambda: ehrhart_like(graph, k)}
-        if args.method in ("ct", "enum", "closed"):
-            raise ValueError(f"method {args.method!r} needs --family")
-        return paths
-    n = args.n
-    # the family's graph is built, and so its n checked, before any path runs
-    if args.family == "ps":
-        graph = pitman_stanley_graph(n)
-        return {
-            "kpf": lambda: ehrhart_like(graph, k),
-            "ct": lambda: evaluate(ps_ct_expression(n, k)),
-            "enum": lambda: sum(1 for _ in dyck.labeled_dyck_words(n - 1, k, zeros=0)),
-            "closed": lambda: cf.ehrhart_ps_closed(n, k),
-        }
-    graph = caracol_graph(n)
-    return {
-        "kpf": lambda: ehrhart_like(graph, k),
-        "ct": lambda: evaluate(car_ct_expression(n - 1, k)),
-        "enum": lambda: sum(1 for _ in dyck.doubly_labeled_dyck_words(n - 2, k)),
-        "closed": lambda: cf.ehrhart_car_closed(n, k),
-    }
+    if args.family is not None:
+        return _run_paths(args.method, verify.ehrhart_paths(args.family, args.n, args.k))
+    graph = parse_graph_spec(args.graph)
+    if args.method != "kpf":
+        raise ValueError(f"method {args.method!r} needs --family")
+    if args.n is not None:
+        raise ValueError("--n needs --family")
+    return _run_paths(args.method, {"kpf": lambda: ehrhart_like(graph, args.k)})
 
 
 # the filters each kind of word takes; any other filter given is an error
@@ -201,19 +181,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_ct(args) -> int:
     expr = parse_ct_expression(args.expr)
-    if args.method == "cp":
-        print(evaluate(expr))
-        return 0
-    if args.method == "series":
-        print(evaluate_series(expr))
-        return 0
-    first = evaluate(expr)
-    second = evaluate_series(expr)
-    print(f"cp={first}")
-    print(f"series={second}")
-    agree = first == second
-    print("AGREE" if agree else "DISAGREE")
-    return 0 if agree else 1
+    return _run_paths(args.method, {
+        "cp": lambda: evaluate(expr),
+        "series": lambda: evaluate_series(expr),
+    })
 
 
 def _cmd_verify(args) -> int:

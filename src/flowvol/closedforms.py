@@ -219,9 +219,6 @@ def _pqr_tails(n: int, p: int, q: int, r: int):
 
 # -- printed volume formulas ---------------------------------------------------
 
-PS_VOLUME_IDS = ("EQ1", "EQ2", "EQ3", "P53", "P55")
-CAR_VOLUME_IDS = ("EQ5", "EQ6", "EQCONJ", "P58")
-
 
 def ps_volume_closed(
     ident: str,

@@ -181,7 +181,7 @@ def _multiply(poly, var, terms, cap):
                 continue
             key = exps[:vi] + (e,) + exps[vi + 1 :]
             out[key] = out.get(key, 0) + coeff * w
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _multiply_two(poly, low, high, cap):
@@ -197,7 +197,7 @@ def _multiply_two(poly, low, high, cap):
                 continue
             tkey = tuple(key)
             out[tkey] = out.get(tkey, 0) + coeff
-    return {k: c for k, c in out.items() if c}
+    return out
 
 
 def _multiset(n: int, m: int) -> int:

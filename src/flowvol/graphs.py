@@ -42,20 +42,6 @@ class DirectedStepGraph:
             degs[i - 1] += 1
         return tuple(degs)
 
-    def in_degrees(self) -> tuple[int, ...]:
-        degs = [0] * self.vertex_count
-        for _, j in self.edges:
-            degs[j - 1] += 1
-        return tuple(degs)
-
-    def out_targets(self, v: int) -> list[tuple[int, int]]:
-        """Targets of v with multiplicities, as (target, multiplicity) pairs in target order."""
-        mult: dict[int, int] = {}
-        for i, j in self.edges:
-            if i == v:
-                mult[j] = mult.get(j, 0) + 1
-        return sorted(mult.items())
-
     def is_connected(self) -> bool:
         if self.vertex_count == 1:
             return True

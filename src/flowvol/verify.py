@@ -15,6 +15,13 @@ never through references taken at import, so a patched or traced function
 is the one called.  The volume identities share one case per family, fed
 by a table of net-flow heads.
 
+``ehrhart_paths(family, n, k)`` is the single owner of the mapping from a
+family's n to the arguments of each route to its Ehrhart-like value (ps
+words at n-1, car constant term at n-1, car doubly labeled words at n-2).
+The six ``PS-/CAR-EHRHART-*`` cases and ``flowvol ehrhart --family`` both
+read it; ``CAR-CT-INDEXING`` keeps the printed indexing on purpose, so it
+stays outside the table.
+
 ``LD-LABEL-COUNTS``, ``LD-ZEROS`` and ``DLD-WEIGHTED`` read one word
 census per (n, k): a single pass of ``dyck.labeled_dyck_words`` that
 buckets the words by label-count vector and weighs them for the doubly
@@ -242,28 +249,46 @@ def _car_volume(ident: str, n: int, a: int, b: int = 0, c: int = 0) -> tuple[int
     return _car_oracle(ident, n, a, b, c), cf.car_volume_closed(ident, n, a, b, c)
 
 
+def ehrhart_paths(family: str, n: int, k: int) -> dict[str, Callable[[], int]]:
+    """The routes to the Ehrhart-like value of family "ps" or "car" at
+    (n, k), by name: ``kpf``, ``ct``, ``enum`` and ``closed``.  The family
+    graph is built first, so an n below its minimum raises before any route
+    runs."""
+    if family == "ps":
+        graph = pitman_stanley_graph(n)
+        return {
+            "kpf": lambda: ehrhart_like(graph, k),
+            "ct": lambda: evaluate(ps_ct_expression(n, k)),
+            "enum": lambda: _count(dyck.labeled_dyck_words(n - 1, k, zeros=0)),
+            "closed": lambda: cf.ehrhart_ps_closed(n, k),
+        }
+    if family == "car":
+        graph = caracol_graph(n)
+        return {
+            "kpf": lambda: ehrhart_like(graph, k),
+            "ct": lambda: evaluate(car_ct_expression(n - 1, k)),
+            "enum": lambda: _count(dyck.doubly_labeled_dyck_words(n - 2, k)),
+            "closed": lambda: cf.ehrhart_car_closed(n, k),
+        }
+    raise ValueError(f"unknown family {family!r}")
+
+
+def _ehrhart_case(family: str, route: str, n: int, k: int) -> tuple[int, int]:
+    paths = ehrhart_paths(family, n, k)
+    return paths["closed"](), paths[route]()
+
+
 # case id -> fn(**params) returning (expected, actual); every entry looks up
 # the functions of the other modules when it runs, so patched ones are seen
 CASES: dict[str, Callable[..., tuple[int, int]]] = {
-    "PS-EHRHART-KPF": lambda n, k: (
-        cf.ehrhart_ps_closed(n, k), ehrhart_like(pitman_stanley_graph(n), k)
-    ),
-    "PS-EHRHART-CT": lambda n, k: (
-        cf.ehrhart_ps_closed(n, k), evaluate(ps_ct_expression(n, k))
-    ),
-    "PS-EHRHART-LD": lambda n, k: (
-        cf.ehrhart_ps_closed(n, k), _count(dyck.labeled_dyck_words(n - 1, k, zeros=0))
-    ),
-    "CAR-EHRHART-KPF": lambda n, k: (
-        cf.ehrhart_car_closed(n, k), ehrhart_like(caracol_graph(n), k)
-    ),
-    "CAR-EHRHART-CT": lambda n, k: (
-        cf.ehrhart_car_closed(n, k), evaluate(car_ct_expression(n - 1, k))
-    ),
-    "CAR-EHRHART-DLD": lambda n, k: (
-        cf.ehrhart_car_closed(n, k), _count(dyck.doubly_labeled_dyck_words(n - 2, k))
-    ),
-    # printed form pairs the n-variable expression with the family value
+    "PS-EHRHART-KPF": partial(_ehrhart_case, "ps", "kpf"),
+    "PS-EHRHART-CT": partial(_ehrhart_case, "ps", "ct"),
+    "PS-EHRHART-LD": partial(_ehrhart_case, "ps", "enum"),
+    "CAR-EHRHART-KPF": partial(_ehrhart_case, "car", "kpf"),
+    "CAR-EHRHART-CT": partial(_ehrhart_case, "car", "ct"),
+    "CAR-EHRHART-DLD": partial(_ehrhart_case, "car", "enum"),
+    # printed form pairs the n-variable expression with the family value, so
+    # it keeps its own indexing outside ehrhart_paths
     "CAR-CT-INDEXING": lambda n, k: (
         cf.ehrhart_car_closed(n, k), evaluate(car_ct_expression(n, k))
     ),

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flowvol import cli
+from flowvol import cli, dyck
 from flowvol.cli import main
 from flowvol.ctengine import SeriesUnstableError, flow_count_expression, format_ct_expression
 from flowvol.graphs import parse_graph_spec, parse_net_flow
@@ -106,6 +106,40 @@ def test_ehrhart_explicit_graph_rejects_family_methods(capsys):
     )
     assert code == 2
     assert "family" in err
+
+
+@pytest.mark.parametrize("extra", [["--n", "5"], ["--method", "all"], ["--n", "5", "--method", "all"]])
+def test_ehrhart_explicit_graph_rejects_family_options(capsys, extra):
+    code, out, err = run_cli(capsys, "ehrhart", "--graph", "car:4", "--k", "1", *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "family" in err
+
+
+def _refuse(*args, **kwargs):
+    raise ValueError("planted path error")
+
+
+def _refuse_series(expr):
+    raise SeriesUnstableError("planted path error")
+
+
+# the word route of ehrhart runs third, after kpf and ct have their values
+@pytest.mark.parametrize(
+    ("module", "target", "replacement", "argv"),
+    [
+        (cli, "evaluate", _refuse, ["volume", "--graph", "ps:4", "--flow", "1,1,1"]),
+        (dyck, "labeled_dyck_words", _refuse, ["ehrhart", "--family", "ps", "--n", "3", "--k", "2"]),
+        (cli, "evaluate_series", _refuse_series, ["ct", "--expr", "m:-1,0; p:1^1,2^1; d:1-2"]),
+    ],
+    ids=["volume", "ehrhart", "ct"],
+)
+def test_all_methods_print_nothing_when_a_path_raises(
+    capsys, monkeypatch, module, target, replacement, argv
+):
+    monkeypatch.setattr(module, target, replacement)
+    code, out, err = run_cli(capsys, *argv, "--method", "all")
+    assert (code, out) == (2, "")
+    assert err == "error: planted path error\n"
 
 
 @pytest.mark.parametrize("method", ["kpf", "ct", "enum", "closed", "all"])

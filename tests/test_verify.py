@@ -152,6 +152,48 @@ def test_planted_constant_term_error_fails_the_suite(monkeypatch, capsys):
     assert _failed_ids(capsys) == {"PS-EHRHART-CT"}
 
 
+@pytest.mark.parametrize(("family", "sizes"), [("ps", range(2, 6)), ("car", range(3, 6))])
+def test_ehrhart_paths_agree_with_the_closed_form(family, sizes):
+    for n in sizes:
+        for k in range(1, 4):
+            paths = verify.ehrhart_paths(family, n, k)
+            assert list(paths) == ["kpf", "ct", "enum", "closed"]
+            assert {name: path() for name, path in paths.items()} == dict.fromkeys(
+                paths, paths["closed"]()
+            )
+
+
+@pytest.mark.parametrize(("family", "n"), [("ps", 1), ("car", 2), ("ps", -1)])
+def test_ehrhart_paths_check_n_before_any_route(family, n):
+    with pytest.raises(ValueError, match="requires n >="):
+        verify.ehrhart_paths(family, n, 1)
+
+
+def test_ehrhart_paths_reject_an_unknown_family():
+    with pytest.raises(ValueError, match="family"):
+        verify.ehrhart_paths("pitman", 3, 1)
+
+
+def test_planted_word_route_error_reaches_verify_and_the_cli(monkeypatch, capsys):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    original = verify.ehrhart_paths
+
+    def planted(family, n, k):
+        paths = original(family, n, k)
+        if (family, n, k) == ("ps", 3, 2):
+            enum = paths["enum"]
+            paths["enum"] = lambda: enum() + 1
+        return paths
+
+    monkeypatch.setattr(verify, "ehrhart_paths", planted)
+    assert main(["verify", "--suite", "ps-ehrhart", "--max-n", "3"]) == 1
+    out = capsys.readouterr().out
+    fails = [line.split()[1:3] for line in out.splitlines() if line.startswith(verify.FAIL + " ")]
+    assert fails == [["PS-EHRHART-LD", "n=3;k=2"]]
+    assert main(["ehrhart", "--family", "ps", "--n", "3", "--k", "2", "--method", "all"]) == 1
+    assert capsys.readouterr().out == "kpf=7\nct=7\nenum=8\nclosed=7\nDISAGREE\n"
+
+
 def test_word_census_matches_filtered_enumerators():
     for n in range(0, 5):
         for k in range(1, 4):
