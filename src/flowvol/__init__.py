@@ -18,9 +18,6 @@ from .graphs import (
 )
 from .kostant import count_flows, list_flows
 from .lidskii import (
-    Composition,
-    dominant_compositions,
-    dominates,
     ehrhart_like,
     fit_ehrhart_polynomial,
     unit_flow_volume,
@@ -39,9 +36,6 @@ __all__ = [
     "restrict",
     "count_flows",
     "list_flows",
-    "Composition",
-    "dominant_compositions",
-    "dominates",
     "ehrhart_like",
     "fit_ehrhart_polynomial",
     "unit_flow_volume",

@@ -261,29 +261,32 @@ def format_ct_expression(expr: CTExpression) -> str:
 
 
 def parse_ct_expression(text: str) -> CTExpression:
-    """Parse ``m:<e1,...,en>; p:<i>^<k>,...; d:<i>-<j>,...`` (p/d may be empty)."""
-    sections = {"m": None, "p": "", "d": ""}
+    """Parse ``m:<e1,...,en>; p:<i>^<k>,...; d:<i>-<j>,...`` (p/d may be empty
+    or omitted; each section appears at most once)."""
+    sections: dict[str, str] = {}
     for part in text.split(";"):
         part = part.strip()
         if not part:
             continue
         tag, sep, body = part.partition(":")
         tag = tag.strip()
-        if not sep or tag not in sections:
+        if not sep or tag not in ("m", "p", "d"):
             raise ValueError(f"malformed expression section {part!r}")
+        if tag in sections:
+            raise ValueError(f"repeated expression section {tag}:")
         sections[tag] = body.strip()
-    if sections["m"] is None:
+    if "m" not in sections:
         raise ValueError("expression needs a monomial section m:<e1,...,en>")
     monomial = tuple(_int(tok) for tok in sections["m"].split(","))
     pows = []
-    if sections["p"]:
+    if sections.get("p"):
         for tok in sections["p"].split(","):
             i, sep, k = tok.partition("^")
             if not sep:
                 raise ValueError(f"malformed pow factor {tok!r}")
             pows.append((_int(i), _int(k)))
     diffs = []
-    if sections["d"]:
+    if sections.get("d"):
         for tok in sections["d"].split(","):
             i, sep, j = tok.partition("-")
             if not sep:

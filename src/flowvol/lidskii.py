@@ -8,7 +8,6 @@ Everything is exact integer arithmetic; polynomial fitting uses Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -22,56 +21,13 @@ class FitMismatchError(ArithmeticError):
     """Interpolated polynomial failed to reproduce the extrapolation sample."""
 
 
-@dataclass(frozen=True)
-class Composition:
-    """Nonnegative integer parts with their total."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
-        if any(p < 0 for p in self.parts):
-            raise ValueError("composition parts must be nonnegative")
-
-    @property
-    def total(self) -> int:
-        return sum(self.parts)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-
-def dominates(s: Composition | Sequence[int], t: Composition | Sequence[int]) -> bool:
-    """True iff every prefix sum of s is >= the corresponding prefix sum of t."""
-    sp = s.parts if isinstance(s, Composition) else tuple(s)
-    tp = t.parts if isinstance(t, Composition) else tuple(t)
-    if len(sp) != len(tp):
-        raise ValueError("dominance needs equal lengths")
-    ssum = tsum = 0
-    for a, b in zip(sp, tp):
-        ssum += a
-        tsum += b
-        if ssum < tsum:
-            return False
-    return True
-
-
-def dominant_compositions(
-    total: int, length: int, t: Composition | Sequence[int]
-) -> list[Composition]:
-    """All compositions of total into `length` parts dominating t, in
-    lexicographically decreasing order."""
-    tp = t.parts if isinstance(t, Composition) else tuple(int(v) for v in t)
-    if len(tp) != length:
-        raise ValueError("t must have the given length")
-    if total < 0:
-        raise ValueError("total must be nonnegative")
-    return [Composition(s) for s in iter_dominant(total, length, tp)]
-
-
 def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Prefix-sum-pruned generator behind dominant_compositions; t entries
-    may be negative (shifted out-degree vectors can be)."""
+    """The compositions of total into `length` nonnegative parts whose every
+    prefix sum is at least the matching prefix sum of t, in lexicographically
+    decreasing order, generated with prefix-sum pruning.  t entries may be
+    negative (shifted out-degree vectors can be)."""
+    if len(t) != length:
+        raise ValueError("t must have the given length")
     if length == 0:
         if total == 0:
             yield ()

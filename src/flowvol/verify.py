@@ -12,8 +12,23 @@ returns (expected, actual); ``evaluate_case`` only looks the id up.  The
 functions reach ``closedforms``, ``dyck``, ``cyclic``, ``evaluate``,
 ``volume`` and ``ehrhart_like`` through module attributes when they run,
 never through references taken at import, so a patched or traced function
-is the one called.  The volume identities share one case per family, fed
-by a table of net-flow heads.
+is the one called.
+
+``_VOLUME_FLOWS`` holds each Pitman-Stanley or caracol volume identity as
+data: its family, the size of its graph minus n, and the head of its net
+flow as a function of n and the identity's parameters.  One oracle,
+``_volume_oracle``, builds the graph and flow from that row and sums the
+volume; ``_volume_case`` pairs it with the printed right-hand side from
+``closedforms``, and the ``*-CORRECTED`` cases pair it with their
+homogeneous forms.
+
+``_SUITE_GRIDS`` maps each suite to its default max_n, its default max_k
+and a function of the two bounds that lists its case specs; ``SUITES`` is
+its keys in order, which is the order "all" runs them in.  A suite's specs
+are mostly ``_grid`` calls: one spec per case id at each point of a product
+of parameter axes, the first axis outermost and the case ids innermost,
+with the params in axis order.  Rows whose ranges depend on an outer value
+(``EQ3``, ``TAIL-COEFF``, ``FAN-SUM-*``) are short comprehensions.
 
 ``ehrhart_paths(family, n, k)`` is the single owner of the mapping from a
 family's n to the arguments of each route to its Ehrhart-like value (ps
@@ -57,8 +72,6 @@ from . import cyclic, dyck
 from .ctengine import car_ct_expression, evaluate, ps_ct_expression
 from .graphs import NetFlow, caracol_graph, pitman_stanley_graph
 from .lidskii import ehrhart_like, iter_dominant, volume
-
-SUITES = ("ps-ehrhart", "car-ehrhart", "dyck-counts", "cyclic", "volumes")
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -215,38 +228,33 @@ def _candidates_case(n: int, k: int) -> tuple[int, int]:
     return cases, good
 
 
-# head of the net flow (before the implied sink entry) of each volume identity
-_PS_HEADS = {
-    "EQ1": lambda n, m, a, b, c, d: (a,) + (b,) * (n - 2) + (d,),
-    "EQ2": lambda n, m, a, b, c, d: (a,) + (b,) * (n - 3) + (c, d),
-    "EQ3": lambda n, m, a, b, c, d: (a,) + (b,) * (n - m - 2) + (c,) + (0,) * (m - 1) + (d,),
-    "P53": lambda n, m, a, b, c, d: (a, b) + (c,) * (n - 1),
-    "P55": lambda n, m, a, b, c, d: (a, b, c) + (d,) * (n - 2),
+# volume identity -> (family, graph size minus n, head(n, **params)), the head
+# being the net flow before its implied sink entry; the printed right-hand
+# side is closedforms.ps_volume_closed or car_volume_closed by family
+_VOLUME_FLOWS: dict[str, tuple[str, int, Callable[..., tuple[int, ...]]]] = {
+    "EQ1": ("ps", 0, lambda n, a, b, d: (a,) + (b,) * (n - 2) + (d,)),
+    "EQ2": ("ps", 0, lambda n, a, b, c, d: (a,) + (b,) * (n - 3) + (c, d)),
+    "EQ3": ("ps", 0, lambda n, m, a, b, c, d: (
+        (a,) + (b,) * (n - m - 2) + (c,) + (0,) * (m - 1) + (d,)
+    )),
+    "P53": ("ps", 1, lambda n, a, b, c: (a, b) + (c,) * (n - 1)),
+    "P55": ("ps", 1, lambda n, a, b, c, d: (a, b, c) + (d,) * (n - 2)),
+    "EQ5": ("car", 0, lambda n, a: (a,) * n),
+    "EQ6": ("car", 0, lambda n, a, b: (a,) + (b,) * (n - 1)),
+    "EQCONJ": ("car", 0, lambda n, a, b, c: (a, b) + (c,) * (n - 2)),
+    "P58": ("car", 1, lambda n, a, b, c: (a, b) + (c,) * (n - 1)),
 }
-_CAR_HEADS = {
-    "EQ5": lambda n, a, b, c: (a,) * n,
-    "EQ6": lambda n, a, b, c: (a,) + (b,) * (n - 1),
-    "EQCONJ": lambda n, a, b, c: (a, b) + (c,) * (n - 2),
-    "P58": lambda n, a, b, c: (a, b) + (c,) * (n - 1),
-}
 
 
-def _ps_volume(
-    ident: str, n: int, a: int, b: int, c: int = 0, d: int = 0, m: int | None = None
-) -> tuple[int, int]:
-    graph_n = n + 1 if ident in ("P53", "P55") else n
-    flow = NetFlow.with_sink(_PS_HEADS[ident](n, m, a, b, c, d))
-    oracle = volume(pitman_stanley_graph(graph_n), flow)
-    return oracle, cf.ps_volume_closed(ident, n, a, b, c, d, m)
+def _volume_oracle(ident: str, n: int, **params: int) -> int:
+    family, shift, head = _VOLUME_FLOWS[ident]
+    graph = (pitman_stanley_graph if family == "ps" else caracol_graph)(n + shift)
+    return volume(graph, NetFlow.with_sink(head(n, **params)))
 
 
-def _car_oracle(ident: str, n: int, a: int, b: int = 0, c: int = 0) -> int:
-    graph_n = n + 1 if ident == "P58" else n
-    return volume(caracol_graph(graph_n), NetFlow.with_sink(_CAR_HEADS[ident](n, a, b, c)))
-
-
-def _car_volume(ident: str, n: int, a: int, b: int = 0, c: int = 0) -> tuple[int, int]:
-    return _car_oracle(ident, n, a, b, c), cf.car_volume_closed(ident, n, a, b, c)
+def _volume_case(ident: str, n: int, **params: int) -> tuple[int, int]:
+    closed = cf.ps_volume_closed if _VOLUME_FLOWS[ident][0] == "ps" else cf.car_volume_closed
+    return _volume_oracle(ident, n, **params), closed(ident, n, **params)
 
 
 def ehrhart_paths(family: str, n: int, k: int) -> dict[str, Callable[[], int]]:
@@ -314,11 +322,10 @@ CASES: dict[str, Callable[..., tuple[int, int]]] = {
     "CYC-PREFIX-ROUTE": lambda n, k: _prefix_grid(
         n, k, lambda i, comp, got: (n + 1) * got == (i + 1) * _extended_count(n, comp)
     ),
-    **{ident: partial(_ps_volume, ident) for ident in _PS_HEADS},
-    **{ident: partial(_car_volume, ident) for ident in _CAR_HEADS},
-    "EQ5-CORRECTED": lambda n, a: (_car_oracle("EQ5", n, a), cf.eq5_homogeneous(n, a)),
+    **{ident: partial(_volume_case, ident) for ident in _VOLUME_FLOWS},
+    "EQ5-CORRECTED": lambda n, a: (_volume_oracle("EQ5", n, a=a), cf.eq5_homogeneous(n, a)),
     "EQCONJ-CORRECTED": lambda n, a, b, c: (
-        _car_oracle("EQCONJ", n, a, b, c), cf.eqconj_homogeneous(n, a, b, c)
+        _volume_oracle("EQCONJ", n, a=a, b=b, c=c), cf.eqconj_homogeneous(n, a, b, c)
     ),
     "PS3-VS-P53": lambda n, a, b, c: (
         cf.ps_volume_closed("P53", n - 1, a, b, c), cf.ps3_closed(n, a, b, c)
@@ -359,6 +366,89 @@ def _spec(ident: str, **params: object) -> CaseSpec:
     return CaseSpec(ident, tuple(params.items()))
 
 
+def _grid(idents: tuple[str, ...], **axes) -> list[CaseSpec]:
+    """One spec per ident at each point of the product of the axes, the first
+    axis outermost and the idents innermost; params keep the axis order."""
+    return [
+        CaseSpec(ident, tuple(zip(axes, point)))
+        for point in product(*axes.values())
+        for ident in idents
+    ]
+
+
+def _dyck_counts_grid(top_n: int, top_k: int) -> list[CaseSpec]:
+    census = ("LD-LABEL-COUNTS", "LD-ZEROS", "DLD-WEIGHTED")
+    sums = ("DLD-SUM", "PREFIX-COUNTS")
+    ks = range(1, top_k + 1)
+    # the doubly labeled words themselves are listed only up to n = 5
+    return (
+        _grid(census + ("DLD-OBJECTS",) + sums, n=range(min(top_n, 5) + 1), k=ks)
+        + _grid(census + sums, n=range(6, top_n + 1), k=ks)
+        + _grid(("PARKING",), n=range(1, min(top_n, 5) + 1))
+    )
+
+
+def _volumes_grid(top_n: int, _top_k: int | None) -> list[CaseSpec]:
+    def ns(low: int, cap: int) -> range:
+        return range(low, min(top_n, cap) + 1)
+
+    # POWER-SUM-* take m, not n, so they run at every max_n
+    return [
+        *_grid(("EQ1",), n=ns(2, 7), a=GRID, b=GRID, d=GRID),
+        *_grid(("EQ2",), n=ns(3, 7), a=GRID, b=GRID, c=GRID, d=GRID),
+        *(
+            spec
+            for m in (1, 2, 3)
+            for spec in _grid(("EQ3",), n=ns(m + 2, 7), m=(m,), a=GRID, b=GRID, c=GRID, d=GRID)
+        ),
+        *_grid(("P53",), n=ns(2, 6), a=GRID, b=GRID, c=GRID),
+        *_grid(("P55",), n=ns(2, 6), a=GRID, b=GRID, c=GRID, d=GRID),
+        *_grid(("PS3-VS-P53",), n=ns(3, 7), a=GRID, b=GRID, c=GRID),
+        *_grid(("PS4-VS-P55",), n=ns(3, 7), a=GRID, b=GRID, c=GRID, d=GRID),
+        *_grid(("EQ5", "EQ5-CORRECTED"), n=ns(3, 6), a=GRID),
+        *_grid(("EQ6",), n=ns(3, 6), a=GRID, b=GRID),
+        *_grid(("EQCONJ", "EQCONJ-CORRECTED"), n=ns(3, 6), a=GRID, b=GRID, c=GRID),
+        *_grid(("P58",), n=ns(2, 6), a=GRID, b=GRID, c=GRID),
+        *(
+            _spec("TAIL-COEFF", n=n, k=k, m=m)
+            for n in ns(1, 7)
+            for m in range(1, n + 1)
+            for k in range(1, m + 1)
+        ),
+        *_grid(("POWER-SUM-PAIR",), m=range(2, 9), a=GRID, b=GRID),
+        *_grid(("POWER-SUM-TRIPLE",), m=range(3, 9), a=GRID, b=GRID, c=GRID),
+        *(
+            _spec(ident, n=n, p=p, q=q, r=n - p - q)
+            for n in ns(3, 6)
+            for p in range(1, n - 1)
+            for q in range(1, n - p)
+            for ident in ("FAN-SUM-FLOWS", "FAN-SUM-PATHS")
+        ),
+    ]
+
+
+# suite -> (default max_n, default max_k, fn(top_n, top_k) returning its specs);
+# "all" runs the suites in this order, and volumes takes no k bound
+_SUITE_GRIDS: dict[str, tuple[int, int | None, Callable[..., list[CaseSpec]]]] = {
+    "ps-ehrhart": (6, 4, lambda top_n, top_k: _grid(
+        ("PS-EHRHART-KPF", "PS-EHRHART-CT", "PS-EHRHART-LD"),
+        n=range(2, top_n + 1), k=range(1, top_k + 1),
+    )),
+    "car-ehrhart": (6, 3, lambda top_n, top_k: _grid(
+        ("CAR-EHRHART-KPF", "CAR-EHRHART-CT", "CAR-EHRHART-DLD", "CAR-CT-INDEXING"),
+        n=range(3, top_n + 1), k=range(1, top_k + 1),
+    )),
+    "dyck-counts": (6, 3, _dyck_counts_grid),
+    "cyclic": (4, 2, lambda top_n, top_k: _grid(
+        ("CYC-SHIFT-IND", "CYC-FIBER", "CYC-EW-COUNT", "CYC-CANDIDATES", "CYC-PREFIX-ROUTE"),
+        n=range(top_n + 1), k=range(1, top_k + 1),
+    )),
+    "volumes": (7, None, _volumes_grid),
+}
+
+SUITES = tuple(_SUITE_GRIDS)
+
+
 def build_suite(suite: str, max_n: int | None = None, max_k: int | None = None) -> list[CaseSpec]:
     """Case specs of one suite, or of every suite in order for "all"; unset
     bounds take the suite's defaults, and 0 is a bound like any other."""
@@ -367,119 +457,11 @@ def build_suite(suite: str, max_n: int | None = None, max_k: int | None = None) 
     if max_k is not None and max_k < 1:
         raise ValueError("max_k must be >= 1")
     if suite == "all":
-        specs: list[CaseSpec] = []
-        for name in SUITES:
-            specs.extend(build_suite(name, max_n, max_k))
-        return specs
-    if suite == "ps-ehrhart":
-        top_n = 6 if max_n is None else max_n
-        top_k = 4 if max_k is None else max_k
-        return [
-            _spec(ident, n=n, k=k)
-            for n in range(2, top_n + 1)
-            for k in range(1, top_k + 1)
-            for ident in ("PS-EHRHART-KPF", "PS-EHRHART-CT", "PS-EHRHART-LD")
-        ]
-    if suite == "car-ehrhart":
-        top_n = 6 if max_n is None else max_n
-        top_k = 3 if max_k is None else max_k
-        return [
-            _spec(ident, n=n, k=k)
-            for n in range(3, top_n + 1)
-            for k in range(1, top_k + 1)
-            for ident in (
-                "CAR-EHRHART-KPF",
-                "CAR-EHRHART-CT",
-                "CAR-EHRHART-DLD",
-                "CAR-CT-INDEXING",
-            )
-        ]
-    if suite == "dyck-counts":
-        top_n = 6 if max_n is None else max_n
-        top_k = 3 if max_k is None else max_k
-        specs = []
-        for n in range(0, top_n + 1):
-            for k in range(1, top_k + 1):
-                specs.append(_spec("LD-LABEL-COUNTS", n=n, k=k))
-                specs.append(_spec("LD-ZEROS", n=n, k=k))
-                specs.append(_spec("DLD-WEIGHTED", n=n, k=k))
-                if n <= 5:
-                    specs.append(_spec("DLD-OBJECTS", n=n, k=k))
-                specs.append(_spec("DLD-SUM", n=n, k=k))
-                specs.append(_spec("PREFIX-COUNTS", n=n, k=k))
-        for n in range(1, min(top_n, 5) + 1):
-            specs.append(_spec("PARKING", n=n))
-        return specs
-    if suite == "cyclic":
-        top_n = 4 if max_n is None else max_n
-        top_k = 2 if max_k is None else max_k
-        specs = []
-        for n in range(0, top_n + 1):
-            for k in range(1, top_k + 1):
-                specs.append(_spec("CYC-SHIFT-IND", n=n, k=k))
-                specs.append(_spec("CYC-FIBER", n=n, k=k))
-                specs.append(_spec("CYC-EW-COUNT", n=n, k=k))
-                specs.append(_spec("CYC-CANDIDATES", n=n, k=k))
-                specs.append(_spec("CYC-PREFIX-ROUTE", n=n, k=k))
-        return specs
-    if suite == "volumes":
-        top_n = 7 if max_n is None else max_n
-        specs = []
-        for n in range(2, min(top_n, 7) + 1):
-            for a, b, d in product(GRID, repeat=3):
-                specs.append(_spec("EQ1", n=n, a=a, b=b, d=d))
-        for n in range(3, min(top_n, 7) + 1):
-            for a, b, c, d in product(GRID, repeat=4):
-                specs.append(_spec("EQ2", n=n, a=a, b=b, c=c, d=d))
-        for m in (1, 2, 3):
-            for n in range(m + 2, min(top_n, 7) + 1):
-                for a, b, c, d in product(GRID, repeat=4):
-                    specs.append(_spec("EQ3", n=n, m=m, a=a, b=b, c=c, d=d))
-        for n in range(2, min(top_n, 6) + 1):
-            for a, b, c in product(GRID, repeat=3):
-                specs.append(_spec("P53", n=n, a=a, b=b, c=c))
-        for n in range(2, min(top_n, 6) + 1):
-            for a, b, c, d in product(GRID, repeat=4):
-                specs.append(_spec("P55", n=n, a=a, b=b, c=c, d=d))
-        for n in range(3, min(top_n, 7) + 1):
-            for a, b, c in product(GRID, repeat=3):
-                specs.append(_spec("PS3-VS-P53", n=n, a=a, b=b, c=c))
-        for n in range(3, min(top_n, 7) + 1):
-            for a, b, c, d in product(GRID, repeat=4):
-                specs.append(_spec("PS4-VS-P55", n=n, a=a, b=b, c=c, d=d))
-        for n in range(3, min(top_n, 6) + 1):
-            for a in GRID:
-                specs.append(_spec("EQ5", n=n, a=a))
-                specs.append(_spec("EQ5-CORRECTED", n=n, a=a))
-        for n in range(3, min(top_n, 6) + 1):
-            for a, b in product(GRID, repeat=2):
-                specs.append(_spec("EQ6", n=n, a=a, b=b))
-        for n in range(3, min(top_n, 6) + 1):
-            for a, b, c in product(GRID, repeat=3):
-                specs.append(_spec("EQCONJ", n=n, a=a, b=b, c=c))
-                specs.append(_spec("EQCONJ-CORRECTED", n=n, a=a, b=b, c=c))
-        for n in range(2, min(top_n, 6) + 1):
-            for a, b, c in product(GRID, repeat=3):
-                specs.append(_spec("P58", n=n, a=a, b=b, c=c))
-        for n in range(1, min(top_n, 7) + 1):
-            for m in range(1, n + 1):
-                for k in range(1, m + 1):
-                    specs.append(_spec("TAIL-COEFF", n=n, k=k, m=m))
-        for m in range(2, 9):
-            for a, b in product(GRID, repeat=2):
-                specs.append(_spec("POWER-SUM-PAIR", m=m, a=a, b=b))
-        for m in range(3, 9):
-            for a, b, c in product(GRID, repeat=3):
-                specs.append(_spec("POWER-SUM-TRIPLE", m=m, a=a, b=b, c=c))
-        for n in range(3, min(top_n, 6) + 1):
-            for pp in range(1, n - 1):
-                for q in range(1, n - pp):
-                    r = n - pp - q
-                    if r >= 1:
-                        specs.append(_spec("FAN-SUM-FLOWS", n=n, p=pp, q=q, r=r))
-                        specs.append(_spec("FAN-SUM-PATHS", n=n, p=pp, q=q, r=r))
-        return specs
-    raise ValueError(f"unknown suite {suite!r}")
+        return [spec for name in SUITES for spec in build_suite(name, max_n, max_k)]
+    if suite not in _SUITE_GRIDS:
+        raise ValueError(f"unknown suite {suite!r}")
+    default_n, default_k, grid = _SUITE_GRIDS[suite]
+    return grid(default_n if max_n is None else max_n, default_k if max_k is None else max_k)
 
 
 # -- running -----------------------------------------------------------------------

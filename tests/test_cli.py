@@ -270,6 +270,17 @@ def test_ct_rejects_malformed(capsys):
     assert "monomial" in err
 
 
+@pytest.mark.parametrize("method", ["cp", "series", "all"])
+@pytest.mark.parametrize("expr", ["m:-1; p:1^1; p:1^2", "m:-1; m:-2; p:1^1"])
+def test_ct_rejects_a_repeated_section(capsys, expr, method):
+    # a second section must not replace the first: p:1^1,1^2 gives 3, and
+    # p:1^1; p:1^2 read as p:1^2 would give a plausible wrong 2
+    code, out, err = run_cli(capsys, "ct", "--expr", expr, "--method", method)
+    assert code == 2
+    assert out == ""
+    assert "repeated expression section" in err
+
+
 def test_verify_small_suite_text(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "ps-ehrhart", "--max-n", "2", "--max-k", "1"

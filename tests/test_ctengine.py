@@ -254,3 +254,18 @@ def test_parse_errors():
     for bad in ("", "p:1^1", "m:1,2; p:1", "m:0,0; d:1", "m:x"):
         with pytest.raises(ValueError):
             parse_ct_expression(bad)
+
+
+@pytest.mark.parametrize(
+    ("text", "tag"),
+    [
+        ("m:-1; p:1^1; p:1^2", "p"),
+        ("m:-1; m:-2; p:1^1", "m"),
+        ("m:-1,0; d:1-2; p:1^1; d:1-2", "d"),
+        ("m:-1; p:; p:1^1", "p"),
+    ],
+)
+def test_parse_rejects_a_repeated_section(text, tag):
+    # a second section must never replace the first one silently
+    with pytest.raises(ValueError, match=f"repeated expression section {tag}:"):
+        parse_ct_expression(text)

@@ -8,12 +8,10 @@ from flowvol.closedforms import ehrhart_car_closed, ehrhart_ps_closed, ps_volume
 from flowvol.graphs import NetFlow, caracol_graph, pitman_stanley_graph
 from flowvol import lidskii
 from flowvol.lidskii import (
-    Composition,
     FitMismatchError,
-    dominant_compositions,
-    dominates,
     ehrhart_like,
     fit_ehrhart_polynomial,
+    iter_dominant,
     multinomial,
     unit_flow_volume,
     volume,
@@ -21,42 +19,39 @@ from flowvol.lidskii import (
 
 
 def test_dominates_examples():
-    assert dominates((2, 0, 1), (1, 1, 1))
-    assert dominates((1, 1, 1), (1, 1, 1))
-    assert not dominates((0, 3), (1, 2))
+    # iter_dominant yields s exactly when every prefix sum of s reaches t's
+    assert (2, 0, 1) in iter_dominant(3, 3, (1, 1, 1))
+    assert (1, 1, 1) in iter_dominant(3, 3, (1, 1, 1))
+    assert (0, 3) not in iter_dominant(3, 2, (1, 2))
 
 
 def test_dominates_length_mismatch():
-    with pytest.raises(ValueError):
-        dominates((1,), (1, 0))
+    for length, t in ((1, (1, 0)), (2, (1,))):
+        with pytest.raises(ValueError):
+            list(iter_dominant(1, length, t))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=6))
 def test_dominates_reflexive(parts):
-    assert dominates(parts, parts)
+    assert tuple(parts) in iter_dominant(sum(parts), len(parts), parts)
 
 
 def test_dominant_compositions_examples():
-    assert [c.parts for c in dominant_compositions(2, 3, (1, 1, 0))] == [(2, 0, 0), (1, 1, 0)]
-    assert [c.parts for c in dominant_compositions(0, 2, (0, 0))] == [(0, 0)]
-    assert dominant_compositions(1, 2, (1, 1)) == []
+    assert list(iter_dominant(2, 3, (1, 1, 0))) == [(2, 0, 0), (1, 1, 0)]
+    assert list(iter_dominant(0, 2, (0, 0))) == [(0, 0)]
+    assert list(iter_dominant(1, 2, (1, 1))) == []
 
 
 def test_dominant_compositions_match_filterful_enumeration():
-    t = (2, 0, 1, 0)
-    got = [c.parts for c in dominant_compositions(5, 4, t)]
-    brute = [
-        s
-        for s in product(range(6), repeat=4)
-        if sum(s) == 5 and dominates(s, t)
-    ]
-    assert sorted(got) == sorted(brute)
-    assert got == sorted(got, reverse=True)
-
-
-def test_composition_rejects_negative_parts():
-    with pytest.raises(ValueError):
-        Composition((1, -1))
+    for t in ((2, 0, 1, 0), (-1, 2, 0, 1), (0, 0, 0, 0)):
+        got = list(iter_dominant(5, 4, t))
+        brute = [
+            s
+            for s in product(range(6), repeat=4)
+            if sum(s) == 5 and all(sum(s[:i]) >= sum(t[:i]) for i in range(1, 5))
+        ]
+        assert sorted(got) == sorted(brute)
+        assert got == sorted(got, reverse=True)
 
 
 def test_multinomial():

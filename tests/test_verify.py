@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -381,3 +382,79 @@ def test_planted_closed_form_error_fails_the_pooled_run(monkeypatch, capsys):
     monkeypatch.setattr(verify.cf, "doubly_labeled_count", lambda n, k: original(n, k) + 1)
     assert main(["verify", "--suite", "all", "--max-n", "3", "--max-k", "2"]) == 1
     assert _failed_ids(capsys) == {"DLD-WEIGHTED", "DLD-OBJECTS", "DLD-SUM"}
+
+
+# (suite, max_n, max_k, spec count, sha256 prefix of the "ident params" lines)
+SUITE_PINS = [
+    ("ps-ehrhart", 0, 1, 0, "e3b0c44298fc1c14"),
+    ("ps-ehrhart", 1, None, 0, "e3b0c44298fc1c14"),
+    ("ps-ehrhart", 3, 2, 12, "b2be43e98771694b"),
+    ("ps-ehrhart", None, 1, 15, "f3a86303ade53d40"),
+    ("ps-ehrhart", 5, 5, 60, "52d839108a53b4c1"),
+    ("ps-ehrhart", 8, 4, 84, "ffdafc819cd39fb6"),
+    ("car-ehrhart", 0, 1, 0, "e3b0c44298fc1c14"),
+    ("car-ehrhart", 1, None, 0, "e3b0c44298fc1c14"),
+    ("car-ehrhart", 3, 2, 8, "df322a92ef4555e2"),
+    ("car-ehrhart", None, 1, 16, "ea0c452c52ded55a"),
+    ("car-ehrhart", 5, 5, 60, "a99b887be25c28e1"),
+    ("car-ehrhart", 8, 4, 96, "092d872655f37a3d"),
+    ("dyck-counts", 0, 1, 6, "67c3717d0ec200e3"),
+    ("dyck-counts", 1, None, 37, "ea7f4ef0bdc07cb7"),
+    ("dyck-counts", 3, 2, 51, "b9934f7f14503e1d"),
+    ("dyck-counts", None, 1, 46, "2358cf168d855e6f"),
+    ("dyck-counts", 5, 5, 185, "dd4f7b61315c2601"),
+    ("dyck-counts", 8, 4, 209, "e0206a6befe0f2ba"),
+    ("cyclic", 0, 1, 5, "a3e53d2968e8da4d"),
+    ("cyclic", 1, None, 20, "4bce70cd33182dea"),
+    ("cyclic", 3, 2, 40, "cc9f929cf761d054"),
+    ("cyclic", None, 1, 25, "22683a5580e7ad22"),
+    ("cyclic", 5, 5, 150, "b929e1de04d97ae7"),
+    ("cyclic", 8, 4, 180, "13afc781bc1d4aab"),
+    ("volumes", 0, 1, 225, "70d15580b37a67b8"),
+    ("volumes", 1, None, 226, "4c1d86b839062340"),
+    ("volumes", 3, 2, 900, "06f1e9fb31b927d2"),
+    ("volumes", None, 1, 3379, "ffc005d079afcbc2"),
+    ("volumes", 5, 5, 2188, "c14543a7ce6cd9c3"),
+    ("volumes", 8, 4, 3379, "ffc005d079afcbc2"),
+    ("all", 0, 1, 236, "b6da10eea33f046a"),
+    ("all", 1, None, 283, "378ea6b5a59b7580"),
+    ("all", 3, 2, 1011, "8bd5375f17ae5138"),
+    ("all", None, 1, 3481, "3d32e4fe19a09e1e"),
+    ("all", 5, 5, 2643, "b3bb2463b4de7712"),
+    ("all", 8, 4, 3948, "db16080901dcae55"),
+]
+
+
+@pytest.mark.parametrize(("suite", "max_n", "max_k", "count", "digest"), SUITE_PINS)
+def test_suites_are_pinned_at_non_default_bounds(suite, max_n, max_k, count, digest):
+    # the golden report covers only the default bounds
+    specs = verify.build_suite(suite, max_n, max_k)
+    text = "".join(f"{spec.ident} {verify._params_text(spec.params)}\n" for spec in specs)
+    assert len(specs) == count
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
+def test_grid_orders_axes_outermost_first_and_idents_innermost():
+    specs = verify._grid(("X", "Y"), n=(1, 2), a=(3,), b=(4, 5))
+    assert [(spec.ident, spec.params) for spec in specs] == [
+        (ident, (("n", n), ("a", 3), ("b", b)))
+        for n in (1, 2)
+        for b in (4, 5)
+        for ident in ("X", "Y")
+    ]
+    assert verify._grid(("X",), n=range(0)) == []
+
+
+def test_planted_volume_flow_error_fails_exactly_its_cases(monkeypatch):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    family, shift, head = verify._VOLUME_FLOWS["EQ6"]
+
+    def planted(n, **params):
+        first, *rest = head(n, **params)
+        return (first + 1, *rest)
+
+    monkeypatch.setitem(verify._VOLUME_FLOWS, "EQ6", (family, shift, planted))
+    report = verify.run_suite("volumes", max_n=3)
+    failed = [case for case in report.cases if case.status == verify.FAIL]
+    assert [case.ident for case in failed] == ["EQ6"] * 9
+    assert sum(case.ident == "EQ6" for case in report.cases) == 9
