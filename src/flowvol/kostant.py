@@ -23,6 +23,19 @@ comb(m+x-1, x) ways.  A deferred source fan, such as the k-fold fan of an
 augmented graph, thus costs one number of state rather than one per
 target.  list_flows and iter_flows keep the literal per-edge enumeration
 as the oracle that the count is checked against.
+
+count_flows remembers the sweep of the graph it counted last (one graph,
+compared by identity or equality): the graph's setup and the cut state
+after each vertex.  A call on that graph resumes after the longest prefix
+of supplies it shares with the stored sweep, and stores the states it
+sweeps from there on, up to a vertex where no partial flow survives.  The
+resume is exact because the cut state after vertex v depends only on the
+graph and the supplies of vertices 1..v.  Stored states are never changed
+and a stored list only grows: each call sweeps into a fresh copy of the
+kept prefix, and each step into a copy of the channel list, so threads
+may share the remembered sweep.  volume_terms counts flows on one
+restriction for compositions in decreasing lexicographic order, so
+consecutive calls share long prefixes.
 """
 
 from __future__ import annotations
@@ -36,7 +49,46 @@ from .graphs import DirectedStepGraph, FlowAssignment, NetFlow
 
 def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
     """Number of nonnegative integer flows realizing the given net supplies."""
+    global _last
     _check(graph, flow)
+    n = graph.vertex_count
+    net = flow.values
+    last = _last
+    if last is not None and (last[0] is graph or last[0] == graph):
+        _, mult, feeders, deferred, stored = last
+    else:
+        mult, feeders, deferred = _setup(graph)
+        stored = []
+    done = 0
+    while done < len(stored) and stored[done][0] == net[done]:
+        done += 1
+    # sweep into a fresh list, so that a stored one, which another thread
+    # may be reading, only ever grows
+    steps = stored[:done]
+    _last = (graph, mult, feeders, deferred, steps)
+    # the cut state: one entry per live channel, where channel w > 0 is the
+    # in-flow gathered so far by vertex w and channel -u the pending surplus
+    # of deferred vertex u
+    states, live = steps[-1][1:] if steps else ({(): 1}, [])
+    for v in range(done + 1, n):
+        live = live.copy()
+        for u in feeders[v]:
+            states = _share(states, live, u, v, mult[u], n)
+        states = _settle(states, live, v, net[v - 1], mult[v], n, deferred[v])
+        if not states:
+            return 0
+        steps.append((net[v - 1], states, live))
+    return states.get((), 0)
+
+
+# the sweep of the graph counted last: the graph, its _setup, and per swept
+# vertex v the entry (supply of v, states, live) as they stood after v
+_last = None
+
+
+def _setup(graph):
+    """Out-edge multiplicities, the feeders of each vertex, and which
+    vertices defer their surplus."""
     n = graph.vertex_count
     mult: list[dict[int, int]] = [{} for _ in range(n + 1)]
     for i, j in graph.edges:
@@ -51,19 +103,7 @@ def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
             deferred[u] = True
             for w in inner:
                 feeders[w].append(u)
-    net = flow.values
-    # the cut state: one entry per live channel, where channel w > 0 is the
-    # in-flow gathered so far by vertex w and channel -u the pending surplus
-    # of deferred vertex u
-    live: list[int] = []
-    states: dict[tuple[int, ...], int] = {(): 1}
-    for v in range(1, n):
-        for u in feeders[v]:
-            states = _share(states, live, u, v, mult[u], n)
-        states = _settle(states, live, v, net[v - 1], mult[v], n, deferred[v])
-        if not states:
-            return 0
-    return states.get((), 0)
+    return mult, feeders, deferred
 
 
 def _share(states, live, u, v, outs, last):

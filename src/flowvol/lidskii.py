@@ -3,14 +3,21 @@
 The volume of the flow polytope is a sum over compositions s of m-n
 dominating the shifted out-degree vector, each weighted by a multinomial
 coefficient and a flow count on the restriction to the first n vertices.
+A query evaluates the sum with one power table per supply, a_i^e for
+e <= m-n, so each term is one coefficient times n table lookups.
 Everything is exact integer arithmetic; polynomial fitting uses Fractions.
+
+The sum is the volume only when every non-sink vertex has an out-edge
+(the shifted out-degree of such a vertex would be -1), so volume,
+unit_flow_volume and ehrhart_like reject any other graph.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
+from operator import getitem
 from typing import Callable, Iterator, Sequence
 
 from .graphs import DirectedStepGraph, NetFlow, augment, restrict
@@ -104,7 +111,8 @@ def volume(
     not used by the sum.
 
     The Lidskii sum is the volume only while every non-sink supply is
-    nonnegative, so a negative one raises ValueError.  kostant, when given,
+    nonnegative and every non-sink vertex has an out-edge, so a negative
+    supply or a vertex without one raises ValueError.  kostant, when given,
     replaces count_flows as the flow counter of the restriction, and the
     terms are then computed afresh instead of read from volume_terms.
     """
@@ -113,14 +121,18 @@ def volume(
     values = flow.values
     if any(a < 0 for a in values[:-1]):
         raise ValueError("volume needs nonnegative supplies on every non-sink vertex")
+    _check_out_edges(graph.out_degrees(), "volume")
     terms = volume_terms(graph) if kostant is None else _lidskii_terms(graph, kostant)
-    total = 0
-    for s, coeff in terms:
-        term = coeff
-        for a, e in zip(values, s):
-            term *= a**e
-        total += term
-    return total
+    top = graph.edge_count - graph.vertex_count + 1
+    powers = [[a**e for e in range(top + 1)] for a in values[:-1]]
+    return sum(coeff * prod(map(getitem, powers, s)) for s, coeff in terms)
+
+
+def _check_out_edges(degrees: tuple[int, ...], what: str) -> None:
+    """Raise ValueError naming the first non-sink vertex of out-degree 0."""
+    if 0 in degrees[:-1]:
+        vertex = degrees.index(0) + 1
+        raise ValueError(f"{what} needs an out-edge at every non-sink vertex; vertex {vertex} has none")
 
 
 def unit_flow_volume(graph: DirectedStepGraph) -> int:
@@ -129,6 +141,7 @@ def unit_flow_volume(graph: DirectedStepGraph) -> int:
     n = graph.vertex_count - 1
     if n < 1:
         raise ValueError("unit_flow_volume needs at least two vertices")
+    _check_out_edges(degs, "unit_flow_volume")
     p = sum(degs[i] for i in range(1, n)) - n + 1
     vector = (p,) + tuple(1 - degs[i] for i in range(1, n)) + (0,)
     return count_flows(graph, NetFlow(vector))
@@ -138,6 +151,7 @@ def ehrhart_like(graph: DirectedStepGraph, k: int) -> int:
     """Volume of the k-fold augmented graph at net flow (1, 0^n)."""
     if k < 1:
         raise ValueError("ehrhart_like requires k >= 1")
+    _check_out_edges(graph.out_degrees(), "ehrhart_like")
     return unit_flow_volume(augment(graph, k))
 
 

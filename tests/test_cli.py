@@ -82,6 +82,19 @@ def test_volume_rejects_negative_supply(capsys):
     assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["volume", "--graph", "4:1-2,2-4,1-3,1-4,2-4", "--flow", "2,1,0", "--method", "all"],
+    ["volume", "--graph", "4:1-2,2-4,1-3,1-4,2-4", "--flow", "2,1,0"],
+    ["volume", "--graph", "3:1-2,1-3", "--flow", "1,0"],
+    ["ehrhart", "--graph", "4:1-2,2-4,1-3,1-4,2-4", "--k", "1"],
+])
+def test_graph_with_a_non_sink_vertex_without_out_edges_exits_2(capsys, argv):
+    # these printed a plausible wrong 0 (the first volume is 8)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "has none" in err
+
+
 def test_ehrhart_ps(capsys):
     code, out, _ = run_cli(capsys, "ehrhart", "--family", "ps", "--n", "3", "--k", "2")
     assert (code, out) == (0, "7\n")

@@ -1,10 +1,18 @@
+import sys
+import threading
 from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowvol.ctengine import evaluate_series_oracle, flow_count_expression
-from flowvol.graphs import DirectedStepGraph, NetFlow, parse_graph_spec
+from flowvol.graphs import (
+    DirectedStepGraph,
+    NetFlow,
+    caracol_graph,
+    parse_graph_spec,
+    pitman_stanley_graph,
+)
 from flowvol.kostant import count_flows, iter_flows, list_flows
 
 PATH3 = parse_graph_spec("3:1-2,2-3")
@@ -158,3 +166,87 @@ def fanned_graph_and_flow(draw):
 def test_count_equals_listing_with_deferred_fans(case):
     g, flow = case
     assert count_flows(g, flow) == sum(1 for _ in iter_flows(g, flow))
+
+
+@st.composite
+def multigraph(draw):
+    vertex_count = draw(st.integers(min_value=3, max_value=6))
+    pairs = [(i, j) for i in range(1, vertex_count) for j in range(i + 1, vertex_count + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8))
+    return DirectedStepGraph(vertex_count, tuple(edges))
+
+
+@st.composite
+def flow_sequence(draw):
+    """Two random multigraphs, and a sequence of supply heads on the first
+    where each head keeps a prefix of random length of the one before.  One
+    head gets, right after the kept prefix, a supply below minus the sum of
+    the positive supplies before it, so that its sweep empties there."""
+    graph = draw(multigraph())
+    other = draw(multigraph())
+    size = graph.vertex_count - 1
+    supply = st.integers(min_value=-2, max_value=2)
+    heads = [draw(st.lists(supply, min_size=size, max_size=size))]
+    steps = draw(st.integers(min_value=2, max_value=7))
+    kill = draw(st.integers(min_value=1, max_value=steps))
+    for step in range(1, steps + 1):
+        keep = draw(st.integers(min_value=0, max_value=size - (step == kill)))
+        fresh = size - keep
+        head = heads[-1][:keep] + draw(st.lists(supply, min_size=fresh, max_size=fresh))
+        if step == kill:
+            head[keep] = -1 - sum(a for a in head[:keep] if a > 0)
+        heads.append(head)
+    # per head: count on an equal copy of the graph instead, count on the
+    # other graph first
+    copies = draw(st.lists(st.booleans(), min_size=len(heads), max_size=len(heads)))
+    between = draw(st.lists(st.booleans(), min_size=len(heads), max_size=len(heads)))
+    return graph, other, heads, copies, between
+
+
+@settings(max_examples=80, deadline=None)
+@given(flow_sequence())
+def test_resumed_counts_equal_listing(case):
+    graph, other, heads, copies, between = case
+    other_flow = NetFlow.with_sink([1] + [0] * (other.vertex_count - 2))
+    other_count = len(list_flows(other, other_flow, 10**6))
+    for head, copy, interleave in zip(heads, copies, between):
+        if interleave:
+            assert count_flows(other, other_flow) == other_count
+        target = DirectedStepGraph(graph.vertex_count, graph.edges) if copy else graph
+        flow = NetFlow.with_sink(head)
+        assert count_flows(target, flow) == len(list_flows(graph, flow, 10**6))
+
+
+def test_threads_share_the_remembered_sweep():
+    # the threads resume from the one remembered sweep while the others keep
+    # replacing it, mostly on the same graph; a stored sweep changed under a
+    # reader gives a wrong count or an exception
+    graph = caracol_graph(6)
+    cases = [(graph, NetFlow.with_sink(head)) for head in product(range(2), repeat=6)]
+    cases.append((pitman_stanley_graph(4), NetFlow.with_sink((1, 1, 0, 1))))
+    expected = [len(list_flows(g, flow, 10**6)) for g, flow in cases]
+    wrong = []
+
+    def work(offset):
+        for round_ in range(30):
+            for idx in range(len(cases)):
+                pick = (idx * (2 * round_ + 1) + offset) % len(cases)
+                try:
+                    count = count_flows(*cases[pick])
+                except Exception as exc:
+                    count = exc
+                if count != expected[pick]:
+                    wrong.append((pick, count))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []

@@ -1,11 +1,20 @@
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from flowvol.closedforms import ehrhart_car_closed, ehrhart_ps_closed, ps_volume_closed
-from flowvol.graphs import NetFlow, caracol_graph, pitman_stanley_graph
+from flowvol.ctengine import evaluate, flow_count_expression
+from flowvol.graphs import (
+    DirectedStepGraph,
+    NetFlow,
+    caracol_graph,
+    parse_graph_spec,
+    pitman_stanley_graph,
+)
+from flowvol.kostant import count_flows
 from flowvol import lidskii
 from flowvol.lidskii import (
     FitMismatchError,
@@ -88,6 +97,67 @@ def test_volume_rejects_negative_supplies():
         volume(pitman_stanley_graph(3), NetFlow.with_sink((-1, 2, 1)))
     with pytest.raises(ValueError):
         volume(caracol_graph(3), NetFlow.with_sink((1, -1, 1)))
+
+
+def test_volume_terms_match_the_constant_term_engine():
+    graphs = [pitman_stanley_graph(n) for n in range(2, 8)]
+    graphs += [caracol_graph(n) for n in range(3, 8)]
+    for g in graphs:
+        assert lidskii.volume_terms(g) == lidskii._lidskii_terms(g, _ct_counter)
+
+
+def _ct_counter(graph, flow):
+    return evaluate(flow_count_expression(graph, flow))
+
+
+@st.composite
+def graph_and_supplies(draw):
+    """A random multigraph on at most 5 vertices where every non-sink
+    vertex has an out-edge, and supplies 0..2 on its non-sink vertices."""
+    vertex_count = draw(st.integers(min_value=2, max_value=5))
+    edges = [(v, draw(st.integers(min_value=v + 1, max_value=vertex_count)))
+             for v in range(1, vertex_count)]
+    pairs = [(i, j) for i in range(1, vertex_count) for j in range(i + 1, vertex_count + 1)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    head = draw(st.lists(st.integers(min_value=0, max_value=2),
+                         min_size=vertex_count - 1, max_size=vertex_count - 1))
+    return DirectedStepGraph(vertex_count, tuple(edges)), head
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_and_supplies())
+def test_volume_is_the_leading_ehrhart_coefficient(case):
+    # l -> count_flows(G, l*a) is a polynomial of degree at most d = E - V + 1,
+    # so its d-th difference at 0 is d! times its coefficient of l^d, which
+    # is the normalized volume, and its (d+1)-th difference is 0
+    g, head = case
+    d = g.edge_count - g.vertex_count + 1
+    counts = [count_flows(g, NetFlow.with_sink([scale * a for a in head])) for scale in range(d + 2)]
+
+    def difference(order):
+        return sum((-1) ** (order - j) * comb(order, j) * counts[j] for j in range(order + 1))
+
+    assert difference(d + 1) == 0
+    assert volume(g, NetFlow.with_sink(head)) == difference(d)
+
+
+@pytest.mark.parametrize(("spec", "head", "vertex"), [
+    ("4:1-2,2-4,1-3,1-4,2-4", (2, 1, 0), 3),
+    ("3:1-2,1-3", (1, 0), 2),
+])
+def test_volume_rejects_a_non_sink_vertex_without_out_edges(spec, head, vertex):
+    # outside the Lidskii formula's hypothesis the sum gave a plausible 0;
+    # the first graph's polytope has normalized volume 8, the second is a point
+    g = parse_graph_spec(spec)
+    message = f"vertex {vertex} has none"
+    with pytest.raises(ValueError, match=message):
+        volume(g, NetFlow.with_sink(head))
+    with pytest.raises(ValueError, match=message):
+        volume(g, NetFlow.with_sink(head), _ct_counter)
+    with pytest.raises(ValueError, match=message):
+        unit_flow_volume(g)
+    with pytest.raises(ValueError, match=message):
+        ehrhart_like(g, 1)
 
 
 def test_volume_terms_cache_is_bounded():
