@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 when independent computation paths disagree or
 a verification suite records a FAIL, 2 on usage or parse errors, on series
-values that disagree at cap and cap+1 and on a report file that cannot be
-written.
+values that disagree at cap and cap+1, on a report file that cannot be
+written and when a computation runs out of memory or recursion depth.
 
 ``volume``, ``ehrhart`` and ``ct`` each build a dict of named paths and hand
 it to ``_run_paths``: one path prints its value, and ``--method all``
@@ -35,8 +35,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, SeriesUnstableError) as exc:
+    except (ValueError, SeriesUnstableError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a failed allocation raises MemoryError without a message
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,12 @@ monomial[v] to at least -B_v as diffs enter v, then only rises to 0, so a
 diff leaving v takes l <= B_v.  A cap of max |monomial|, every B_v, and
 B_v + 1 where a diff leaves v (l runs below the cap) thus truncates no
 surviving term; a smaller cap is refused, and cap+1 is checked too.
+
+The oracle eliminates the variables in increasing order and drops a term
+as soon as the exponent of the variable being eliminated rises above 0.
+That is exact: at v it multiplies in v's pow factors and the diffs leaving
+v, each of which only raises x_v's exponent, and no later factor touches
+x_v, so such a term never reaches the constant term in x_v.
 """
 
 from __future__ import annotations
@@ -171,13 +177,17 @@ def _series_value(expr: CTExpression, cap: int) -> int:
 
 
 def _multiply(poly, var, terms, cap):
+    # var is the variable being eliminated and terms ascend in add, so the
+    # first exponent above 0 ends the row: no later factor lowers it
     out: dict[tuple[int, ...], int] = {}
     vi = var - 1
     for exps, coeff in poly.items():
         base = exps[vi]
         for add, w in terms:
             e = base + add
-            if abs(e) > cap:
+            if e > 0:
+                break
+            if e < -cap:
                 continue
             key = exps[:vi] + (e,) + exps[vi + 1 :]
             out[key] = out.get(key, 0) + coeff * w
@@ -185,12 +195,13 @@ def _multiply(poly, var, terms, cap):
 
 
 def _multiply_two(poly, low, high, cap):
-    # (x_high - x_low)^-1 = sum_l x_low^l x_high^(-l-1)
+    # (x_high - x_low)^-1 = sum_l x_low^l x_high^(-l-1); low is the variable
+    # being eliminated, so l stops where its exponent would pass 0
     out: dict[tuple[int, ...], int] = {}
     li, hi = low - 1, high - 1
     for exps, coeff in poly.items():
         key = list(exps)
-        for l in range(cap):
+        for l in range(min(cap, 1 - exps[li])):
             key[li] = exps[li] + l
             key[hi] = exps[hi] - l - 1
             if abs(key[li]) > cap or abs(key[hi]) > cap:

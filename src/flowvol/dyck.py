@@ -317,42 +317,3 @@ def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[i
 
 def min_constrained_count(n: int, mins: Sequence[int]) -> int:
     return sum(1 for _ in min_constrained_run_vectors(n, mins))
-
-
-def path_points(word: LabeledDyckWord | DyckPrefixWord) -> tuple[tuple[int, int], ...]:
-    """Lattice points visited by the word, starting at (0, 0)."""
-    points = [(0, 0)]
-    x = y = 0
-    for s in word.steps:
-        x += 1
-        y += 1 if s == UP else -1
-        points.append((x, y))
-    return tuple(points)
-
-
-def down_labels(word: LabeledDyckWord | DyckPrefixWord) -> tuple[int, ...]:
-    return tuple(s for s in word.steps if s != UP)
-
-
-def word_from_path(
-    points: Sequence[tuple[int, int]], labels: Sequence[int], k: int
-) -> LabeledDyckWord:
-    """Inverse of (path_points, down_labels): rebuild the word from geometry."""
-    if not points or points[0] != (0, 0):
-        raise ValueError("path must start at (0, 0)")
-    steps: list[int] = []
-    labels = list(labels)
-    pos = 0
-    for (x0, y0), (x1, y1) in zip(points, points[1:]):
-        if x1 != x0 + 1 or abs(y1 - y0) != 1:
-            raise ValueError(f"segment {(x0, y0)} -> {(x1, y1)} is not a unit step")
-        if y1 > y0:
-            steps.append(UP)
-        else:
-            if pos >= len(labels):
-                raise ValueError("fewer labels than down-steps")
-            steps.append(labels[pos])
-            pos += 1
-    if pos != len(labels):
-        raise ValueError("more labels than down-steps")
-    return LabeledDyckWord(tuple(steps), k)

@@ -25,17 +25,19 @@ target.  list_flows and iter_flows keep the literal per-edge enumeration
 as the oracle that the count is checked against.
 
 count_flows remembers the sweep of the graph it counted last (one graph,
-compared by identity or equality): the graph's setup and the cut state
-after each vertex.  A call on that graph resumes after the longest prefix
-of supplies it shares with the stored sweep, and stores the states it
-sweeps from there on, up to a vertex where no partial flow survives.  The
-resume is exact because the cut state after vertex v depends only on the
-graph and the supplies of vertices 1..v.  Stored states are never changed
-and a stored list only grows: each call sweeps into a fresh copy of the
-kept prefix, and each step into a copy of the channel list, so threads
-may share the remembered sweep.  volume_terms counts flows on one
-restriction for compositions in decreasing lexicographic order, so
-consecutive calls share long prefixes.
+compared by identity or equality): the graph's setup and, from the second
+consecutive call on that graph on, the cut state after each vertex.  A
+first call keeps only the setup, so a one-off count stores no states.  A
+later call on that graph resumes after the longest prefix of supplies it
+shares with the stored sweep, and stores the states it sweeps from there
+on, up to a vertex where no partial flow survives.  The resume is exact
+because the cut state after vertex v depends only on the graph and the
+supplies of vertices 1..v.  Stored states are never changed and a stored
+list only grows: each call sweeps into a fresh copy of the kept prefix,
+and each step into a copy of the channel list, so threads may share the
+remembered sweep.  volume_terms counts flows on one restriction for
+compositions in decreasing lexicographic order, so consecutive calls
+share long prefixes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,9 @@ def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
     n = graph.vertex_count
     net = flow.values
     last = _last
-    if last is not None and (last[0] is graph or last[0] == graph):
+    # only a repeat call on the graph stores its sweep
+    keep = last is not None and (last[0] is graph or last[0] == graph)
+    if keep:
         _, mult, feeders, deferred, stored = last
     else:
         mult, feeders, deferred = _setup(graph)
@@ -77,12 +81,14 @@ def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
         states = _settle(states, live, v, net[v - 1], mult[v], n, deferred[v])
         if not states:
             return 0
-        steps.append((net[v - 1], states, live))
+        if keep:
+            steps.append((net[v - 1], states, live))
     return states.get((), 0)
 
 
-# the sweep of the graph counted last: the graph, its _setup, and per swept
-# vertex v the entry (supply of v, states, live) as they stood after v
+# the sweep of the graph counted last: the graph, its _setup, and, once a
+# second call came, per swept vertex v the entry (supply of v, states, live)
+# as they stood after v
 _last = None
 
 

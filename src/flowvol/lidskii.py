@@ -155,15 +155,21 @@ def ehrhart_like(graph: DirectedStepGraph, k: int) -> int:
     return unit_flow_volume(augment(graph, k))
 
 
-def fit_ehrhart_polynomial(graph: DirectedStepGraph, k_max: int) -> tuple[Fraction, ...]:
+def fit_ehrhart_polynomial(
+    graph: DirectedStepGraph, k_max: int | None = None
+) -> tuple[Fraction, ...]:
     """Interpolate the augmented-volume values at k = 1..k_max exactly and
     return the coefficients (constant first, trailing zeros trimmed).
 
-    The fit must reproduce the value at k_max + 1, otherwise the degree
-    bound was too small (or something is broken) and FitMismatchError is
-    raised.
+    By default k_max is d + 1, where d = E - V + 1 is the dimension of the
+    flow polytope and the degree of the polynomial: d + 1 samples pin it
+    down.  An explicit k_max must be at least V + 1.  The fit must
+    reproduce the value at k_max + 1, otherwise the degree bound was too
+    small (or something is broken) and FitMismatchError is raised.
     """
-    if k_max < graph.vertex_count + 1:
+    if k_max is None:
+        k_max = graph.edge_count - graph.vertex_count + 2
+    elif k_max < graph.vertex_count + 1:
         raise ValueError("k_max must be at least vertex_count + 1 sample points")
     samples = [(k, ehrhart_like(graph, k)) for k in range(1, k_max + 1)]
     coeffs = _interpolate(samples)

@@ -270,6 +270,28 @@ def test_ct_unstable_series_exits_2(capsys, monkeypatch):
     assert err.startswith("error:") and "stable cap" in err
 
 
+@pytest.mark.parametrize(
+    ("exc", "message"),
+    [
+        (MemoryError(), "error: out of memory\n"),
+        (RecursionError("maximum recursion depth exceeded"), "error: maximum recursion depth exceeded\n"),
+    ],
+)
+@pytest.mark.parametrize("argv", [
+    ("kpf", "--graph", "ps:3", "--flow", "1,0,-1"),
+    ("ct", "--expr", "m:0; p:1^1", "--method", "all"),
+])
+def test_resource_errors_exit_2(capsys, monkeypatch, exc, message, argv):
+    # exit 1 means only that paths disagree or a case FAILs, never a crash
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "count_flows", exhausted)
+    monkeypatch.setattr(cli, "evaluate", exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_ct_long_path(capsys):
     graph = parse_graph_spec("ps:400")
     expr = flow_count_expression(graph, parse_net_flow(LONG_PATH_FLOW, 400))

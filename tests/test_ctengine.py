@@ -55,7 +55,7 @@ def test_series_oracle_flags_small_caps():
         evaluate_series_oracle(ps_ct_expression(4, 2), 1)
 
 
-def test_series_auto_doubles_until_stable():
+def test_series_equals_sweep_on_a_chain():
     assert evaluate_series(ps_ct_expression(4, 2)) == evaluate(ps_ct_expression(4, 2))
 
 
@@ -74,7 +74,7 @@ def test_series_oracle_rejects_caps_below_the_monomial():
 
 def test_series_starts_at_the_monomial_width():
     assert evaluate_series(WIDE_MONOMIAL) == evaluate(WIDE_MONOMIAL) == 1
-    # eight doublings of the default cap 4 stop short of 1000
+    # the derived cap is the monomial's width, 1000
     wider = CTExpression(1, (-1000,), ((1, 1),))
     assert evaluate_series(wider) == evaluate(wider) == 1
     wide_positive = CTExpression(2, (-30, 25), ((1, 1), (2, 1)), ((1, 2),))
@@ -224,6 +224,82 @@ def test_series_cap_never_consults_evaluate(monkeypatch):
     assert evaluate_series(BUDGET_WIDER_THAN_MONOMIAL) == 120
     assert evaluate_series(DIFF_AT_FULL_BUDGET) == 1
     assert evaluate_series(car_ct_expression(5, 2)) == ehrhart_car_closed(6, 2)
+
+
+def _unpruned_series_value(expr, cap):
+    """The series oracle as it was before it dropped dead terms: every term
+    within the cap is kept until the variable's constant term is taken."""
+    poly = {expr.monomial: 1}
+    for v in range(1, expr.nvars + 1):
+        for i, k in expr.pow_factors:
+            if i == v:
+                terms = [(a, ctengine._multiset(k, a)) for a in range(cap + 1)]
+                poly = _unpruned_multiply(poly, v, terms, cap)
+        for i, j in expr.diff_factors:
+            if i == v:
+                poly = _unpruned_multiply_two(poly, i, j, cap)
+        poly = {e: c for e, c in poly.items() if e[v - 1] == 0}
+    return poly.get((0,) * expr.nvars, 0)
+
+
+def _unpruned_multiply(poly, var, terms, cap):
+    out = {}
+    vi = var - 1
+    for exps, coeff in poly.items():
+        base = exps[vi]
+        for add, w in terms:
+            e = base + add
+            if abs(e) > cap:
+                continue
+            key = exps[:vi] + (e,) + exps[vi + 1 :]
+            out[key] = out.get(key, 0) + coeff * w
+    return out
+
+
+def _unpruned_multiply_two(poly, low, high, cap):
+    out = {}
+    li, hi = low - 1, high - 1
+    for exps, coeff in poly.items():
+        key = list(exps)
+        for l in range(cap):
+            key[li] = exps[li] + l
+            key[hi] = exps[hi] - l - 1
+            if abs(key[li]) > cap or abs(key[hi]) > cap:
+                continue
+            tkey = tuple(key)
+            out[tkey] = out.get(tkey, 0) + coeff
+    return out
+
+
+@st.composite
+def signed_monomial_expression(draw):
+    """Up to 5 variables, monomial entries negative, zero and positive, pows
+    0-3 per variable and up to 4 diffs, so the unpruned reference stays small."""
+    nvars = draw(st.integers(min_value=1, max_value=5))
+    monomial = draw(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=nvars, max_size=nvars)
+    )
+    powk = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=nvars, max_size=nvars))
+    pows = [(i, k) for i, k in enumerate(powk, start=1) if k]
+    pairs = [(i, j) for i in range(1, nvars) for j in range(i + 1, nvars + 1)]
+    diffs = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True)) if pairs else []
+    return CTExpression(nvars, tuple(monomial), tuple(pows), tuple(diffs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_monomial_expression())
+@example(BUDGET_WIDER_THAN_MONOMIAL)
+@example(DIFF_AT_FULL_BUDGET)
+@example(CTExpression(2, (0, 9), ((1, 1),), ((1, 2),)))
+def test_dropping_dead_terms_keeps_the_series_value(expr):
+    cap = ctengine._series_cap(expr)
+    for c in (cap, cap + 1):
+        assert ctengine._series_value(expr, c) == _unpruned_series_value(expr, c)
+
+
+@pytest.mark.parametrize("expr", [car_ct_expression(16, 3), ps_ct_expression(40, 3)], ids=["car16", "ps40"])
+def test_series_reaches_the_sweep_frontier(expr):
+    assert evaluate_series(expr) == evaluate(expr)
 
 
 @pytest.mark.parametrize(("family", "n", "k"), [("ps", 20, 3), ("ps", 30, 3), ("car", 12, 2), ("car", 14, 2)])

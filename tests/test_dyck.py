@@ -8,7 +8,6 @@ from flowvol.closedforms import labeled_dyck_count
 from flowvol.dyck import (
     DoublyLabeledDyckWord,
     LabeledDyckWord,
-    down_labels,
     doubly_labeled_dyck_words,
     dyck_prefixes,
     format_word,
@@ -16,10 +15,8 @@ from flowvol.dyck import (
     min_constrained_count,
     min_constrained_run_vectors,
     parse_word,
-    path_points,
     tokenize_steps,
     weakly_increasing_tuples,
-    word_from_path,
 )
 
 FIGURE_WORD = "UD0UUUUD5UD3D0UUUD4D2D0D0UD1D1"
@@ -202,25 +199,6 @@ def test_min_constrained_validation():
         min_constrained_count(2, (2, 1))
     with pytest.raises(ValueError):
         min_constrained_count(2, (1,))
-
-
-def test_path_round_trip():
-    word = parse_word(FIGURE_WORD, 5)
-    rebuilt = word_from_path(path_points(word), down_labels(word), 5)
-    assert rebuilt == word
-
-
-def test_empty_path_round_trip():
-    empty = LabeledDyckWord((), 1)
-    assert path_points(empty) == ((0, 0),)
-    assert word_from_path(((0, 0),), (), 1) == empty
-
-
-def test_word_from_path_validation():
-    with pytest.raises(ValueError):
-        word_from_path(((0, 0), (2, 2)), (), 1)
-    with pytest.raises(ValueError):
-        word_from_path(((0, 0), (1, 1), (2, 0)), (), 1)  # missing label
 
 
 @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=3))

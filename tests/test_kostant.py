@@ -13,6 +13,7 @@ from flowvol.graphs import (
     parse_graph_spec,
     pitman_stanley_graph,
 )
+from flowvol import kostant
 from flowvol.kostant import count_flows, iter_flows, list_flows
 
 PATH3 = parse_graph_spec("3:1-2,2-3")
@@ -215,6 +216,22 @@ def test_resumed_counts_equal_listing(case):
         target = DirectedStepGraph(graph.vertex_count, graph.edges) if copy else graph
         flow = NetFlow.with_sink(head)
         assert count_flows(target, flow) == len(list_flows(graph, flow, 10**6))
+
+
+def test_only_a_repeat_call_stores_its_sweep():
+    # a one-off count keeps just the graph's setup; the second consecutive
+    # call on the graph stores its states, and a third resumes from them
+    graph = caracol_graph(5)
+    flow = NetFlow.with_sink((1,) + (0,) * (graph.vertex_count - 2))
+    expected = len(list_flows(graph, flow, 10**6))
+    assert count_flows(PATH3, NetFlow((1, -1, 0))) == 1
+    assert count_flows(graph, flow) == expected
+    assert kostant._last[0] is graph and kostant._last[4] == []
+    assert count_flows(graph, flow) == expected
+    stored = kostant._last[4]
+    assert len(stored) == graph.vertex_count - 1
+    assert count_flows(graph, flow) == expected
+    assert kostant._last[4] == stored
 
 
 def test_threads_share_the_remembered_sweep():

@@ -236,6 +236,17 @@ def test_fit_needs_enough_samples():
         fit_ehrhart_polynomial(pitman_stanley_graph(3), 4)
 
 
+@pytest.mark.parametrize("graph", [caracol_graph(6), pitman_stanley_graph(5), caracol_graph(3)], ids=["car6", "ps5", "car3"])
+def test_fit_default_samples_follow_the_degree(graph):
+    # d = E - V + 1; for car 6 that is 8, past the V + 1 = 7 samples that
+    # test_fit_detects_insufficient_degree shows too few
+    d = graph.edge_count - graph.vertex_count + 1
+    coeffs = fit_ehrhart_polynomial(graph)
+    assert len(coeffs) == d + 1
+    for k in range(1, d + 3):
+        assert sum(c * Fraction(k) ** e for e, c in enumerate(coeffs)) == ehrhart_like(graph, k)
+
+
 def test_fit_detects_insufficient_degree():
     # the augmented-volume polynomial of this graph has degree 8, so eight
     # sample points cannot pin it down and extrapolation must fail
