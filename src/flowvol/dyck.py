@@ -96,11 +96,15 @@ class DoublyLabeledDyckWord:
         want = len(self.base.eligible_positions())
         if len(self.extra) != want:
             raise ValueError(f"extra channel has {len(self.extra)} labels; expected {want}")
-        for t, e in enumerate(self.extra):
-            if not 1 <= e <= self.base.k:
-                raise ValueError(f"extra label {e} at slot {t + 1} outside 1..{self.base.k}")
-            if t and e < self.extra[t - 1]:
-                raise ValueError(f"extra labels must be weakly increasing; violated at slot {t + 1}")
+        k = self.base.k
+        prev = 1  # every label is at least 1, so the first slot needs no order check
+        for t, e in enumerate(self.extra, 1):
+            if not prev <= e <= k:
+                # the range is checked before the order
+                if not 1 <= e <= k:
+                    raise ValueError(f"extra label {e} at slot {t} outside 1..{k}")
+                raise ValueError(f"extra labels must be weakly increasing; violated at slot {t}")
+            prev = e
 
     def __str__(self) -> str:
         return format_word(self)
@@ -238,16 +242,24 @@ def weakly_increasing_tuples(length: int, hi: int) -> Iterator[tuple[int, ...]]:
 
 
 def dyck_prefixes(
-    n: int, i: int, k: int, label_counts: Sequence[int]
+    n: int, i: int, k: int, label_counts: Sequence[int] | None = None
 ) -> Iterator[DyckPrefixWord]:
-    """All prefixes with n up-steps ending at height i, with the given
-    down-label multiplicities (a_0..a_k summing to n-i)."""
+    """All prefixes with n up-steps ending at height i, in enumeration order,
+    optionally filtered by the down-label multiplicities (a_0..a_k summing to
+    n-i).  Without the filter one walk yields every such prefix once."""
     if not 0 <= i <= n:
         raise ValueError("height i must lie in 0..n")
-    counts = [int(c) for c in label_counts]
-    if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n - i:
-        raise ValueError("label_counts must be k+1 nonnegative entries summing to n-i")
-    yield from _walk([], n, n - i, k, tuple(range(k + 1)), counts, 0, DyckPrefixWord)
+    if label_counts is None:
+        # for k < 0 the shared pool is empty: the walk would yield nothing, not fail
+        if k < 1:
+            raise ValueError("label bound k must be >= 1")
+        pool, counts = (0,) * (k + 1), [n - i]
+    else:
+        counts = [int(c) for c in label_counts]
+        if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n - i:
+            raise ValueError("label_counts must be k+1 nonnegative entries summing to n-i")
+        pool = tuple(range(k + 1))
+    yield from _walk([], n, n - i, k, pool, counts, 0, DyckPrefixWord)
 
 
 def _walk(

@@ -37,19 +37,21 @@ The six ``PS-/CAR-EHRHART-*`` cases and ``flowvol ehrhart --family`` both
 read it; ``CAR-CT-INDEXING`` keeps the printed indexing on purpose, so it
 stays outside the table.
 
-``LD-LABEL-COUNTS``, ``LD-ZEROS`` and ``DLD-WEIGHTED`` read one word
-census per (n, k): a single pass of ``dyck.labeled_dyck_words`` that
-buckets the words by label-count vector and weighs them for the doubly
-labeled count.  The census sits in a small cache that ``run_suite``
-clears at entry, so each run, and each pool worker it forks, enumerates
-the words afresh.
+``PREFIX-COUNTS`` and ``CYC-PREFIX-ROUTE`` read one prefix census per
+(n, i, k): a single walk of the prefixes of (n, k) that end at height i,
+bucketed by label-count vector.  Its height-0 slice is the word census,
+one pass of ``dyck.labeled_dyck_words``, which ``LD-LABEL-COUNTS``,
+``LD-ZEROS`` and ``DLD-WEIGHTED`` read too, the last weighing the words
+for the doubly labeled count.  The census sits in a small cache that
+``run_suite`` clears at entry, so each run, and each pool worker it forks,
+enumerates the words afresh.
 
 With ``FLOWVOL_WORKERS`` above 1, ``run_suite`` hands a process pool one
 task per (n, k) grid point (``_pool_tasks``): every case of the run with
 that n and k, a missing parameter counting as 0.  Tasks are dispatched in
 descending (n, k) order, so the heaviest grid points start first and the
-cheap ones fill the tail; the three census cases of a grid point share
-one worker and one census.  The pool starts no more processes than there
+cheap ones fill the tail; the cases of a grid point that read a census
+share one worker, which builds each census once.  The pool starts no more processes than there
 are tasks, and the records are sorted back into case order.
 """
 
@@ -60,6 +62,7 @@ import io
 import csv
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -127,16 +130,21 @@ def _count(items) -> int:
     return sum(1 for _ in items)
 
 
-@lru_cache(maxsize=4)
-def _word_census(n: int, k: int) -> tuple[dict[tuple[int, ...], int], int]:
-    """One pass over the labeled words of (n, k): the number of words with
-    each label-count vector, and the sum over the words of
-    ``multiset_coeff(k, n + zeros)``, which counts the doubly labeled words.
-    The bucket dict is shared by the cache, so callers only read it."""
-    buckets: dict[tuple[int, ...], int] = {}
-    for word in dyck.labeled_dyck_words(n, k):
-        key = word.label_counts()
-        buckets[key] = buckets.get(key, 0) + 1
+@lru_cache(maxsize=8)
+def _prefix_census(n: int, i: int, k: int) -> Counter[tuple[int, ...]]:
+    """One walk over the prefixes of (n, k) that end at height i: the number
+    of prefixes with each label-count vector.  The prefixes of height 0 are
+    the labeled words, so that walk is ``dyck.labeled_dyck_words``.  The
+    counter is shared by the cache, so callers only read it."""
+    words = dyck.labeled_dyck_words(n, k) if i == 0 else dyck.dyck_prefixes(n, i, k)
+    return Counter(word.label_counts() for word in words)
+
+
+def _word_census(n: int, k: int) -> tuple[Counter[tuple[int, ...]], int]:
+    """The labeled words of (n, k) by label-count vector, and the sum over
+    the words of ``multiset_coeff(k, n + zeros)``, which counts the doubly
+    labeled words."""
+    buckets = _prefix_census(n, 0, k)
     weighted = sum(
         count * cf.multiset_coeff(k, n + comp[0]) for comp, count in buckets.items()
     )
@@ -144,14 +152,14 @@ def _word_census(n: int, k: int) -> tuple[dict[tuple[int, ...], int], int]:
 
 
 def _label_counts_case(n: int, k: int) -> tuple[int, int]:
-    buckets, _ = _word_census(n, k)
+    buckets = _prefix_census(n, 0, k)
     comps = list(iter_dominant(n, k + 1, (0,) * (k + 1)))
     good = sum(buckets.get(comp, 0) == cf.labeled_dyck_count(n, k, comp) for comp in comps)
     return len(comps), good
 
 
 def _zeros_case(n: int, k: int) -> tuple[int, int]:
-    buckets, _ = _word_census(n, k)
+    buckets = _prefix_census(n, 0, k)
     good = 0
     for d in range(n + 1):
         enumerated = sum(count for comp, count in buckets.items() if comp[0] == d)
@@ -169,9 +177,10 @@ def _prefix_grid(n: int, k: int, holds) -> tuple[int, int]:
     the prefixes of (n, k); ``holds(i, comp, enumerated)`` checks one."""
     cases = good = 0
     for i in range(n + 1):
+        census = _prefix_census(n, i, k)
         for comp in iter_dominant(n - i, k + 1, (0,) * (k + 1)):
             cases += 1
-            good += holds(i, comp, _count(dyck.dyck_prefixes(n, i, k, comp)))
+            good += holds(i, comp, census.get(comp, 0))
     return cases, good
 
 
@@ -498,9 +507,10 @@ def _run_many(items) -> list[tuple[int, CaseRecord]]:
 def _pool_tasks(specs: list[CaseSpec]) -> list[list[tuple[int, CaseSpec]]]:
     """The pool's units of work: the (index, spec) pairs of the cases that
     share one (n, k), a missing n or k counting as 0, in descending (n, k)
-    order.  The census cases of a grid point thus share one worker and one
-    census, and as case cost grows with n and k in every suite, the order
-    is close to largest first."""
+    order.  The cases of a grid point that read a census (the word census
+    cases, ``PREFIX-COUNTS`` and ``CYC-PREFIX-ROUTE``) thus share one worker,
+    which builds each census once, and as case cost grows with n and k in
+    every suite, the order is close to largest first."""
     tasks: dict[tuple[int, int], list[tuple[int, CaseSpec]]] = {}
     for index, spec in enumerate(specs):
         params = dict(spec.params)
@@ -510,7 +520,7 @@ def _pool_tasks(specs: list[CaseSpec]) -> list[list[tuple[int, CaseSpec]]]:
 
 def run_suite(suite: str, max_n: int | None = None, max_k: int | None = None) -> VerificationReport:
     specs = build_suite(suite, max_n, max_k)
-    _word_census.cache_clear()
+    _prefix_census.cache_clear()
     start = time.monotonic()
     workers = worker_count()
     tasks = _pool_tasks(specs) if workers > 1 else []

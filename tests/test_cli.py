@@ -195,6 +195,20 @@ def test_enumerate_prefix_list(capsys):
     assert (code, out) == (0, "UD0U\nUUD0\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--n", "2", "--i", "1", "--k", "1"],
+        ["--n", "2", "--k", "1", "--comp", "1,0"],
+        ["--n", "2", "--k", "1"],
+    ],
+)
+def test_enumerate_prefix_still_needs_i_and_comp(capsys, argv):
+    # dyck_prefixes walks every prefix without a filter; the CLI does not
+    code, out, err = run_cli(capsys, "enumerate", "prefix", *argv, "--count")
+    assert (code, out, err) == (2, "", "error: prefix enumeration needs --i and --comp\n")
+
+
 def test_enumerate_ew_count(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "ew", "--n", "2", "--k", "1", "--count")
     assert (code, out) == (0, "21\n")

@@ -74,6 +74,47 @@ def test_extra_channel_validation():
         DoublyLabeledDyckWord(base, (1, 1, 1, 1))  # wrong length
 
 
+def _reference_extra_error(extra, k):
+    """The first error of the extra channel, slot by slot, range before order."""
+    for t, e in enumerate(extra):
+        if not 1 <= e <= k:
+            return f"extra label {e} at slot {t + 1} outside 1..{k}"
+        if t and e < extra[t - 1]:
+            return f"extra labels must be weakly increasing; violated at slot {t + 1}"
+    return None
+
+
+@pytest.mark.parametrize(
+    "extra,message",
+    [
+        ((1,), "extra channel has 1 labels; expected 2"),
+        ((1, 1, 1), "extra channel has 3 labels; expected 2"),
+        ((0, 1), "extra label 0 at slot 1 outside 1..3"),
+        ((4, 1), "extra label 4 at slot 1 outside 1..3"),
+        ((2, 1), "extra labels must be weakly increasing; violated at slot 2"),
+        ((2, 0), "extra label 0 at slot 2 outside 1..3"),  # range before order
+        ((2, 4), "extra label 4 at slot 2 outside 1..3"),
+    ],
+)
+def test_extra_channel_messages(extra, message):
+    base = parse_word("UD0", 3)
+    with pytest.raises(ValueError) as info:
+        DoublyLabeledDyckWord(base, extra)
+    assert str(info.value) == message
+
+
+def test_extra_channel_reports_the_first_bad_slot():
+    base = parse_word("UD0UD0", 3)  # four slots
+    for extra in product(range(-1, 6), repeat=4):
+        want = _reference_extra_error(extra, 3)
+        if want is None:
+            assert DoublyLabeledDyckWord(base, extra).extra == extra
+            continue
+        with pytest.raises(ValueError) as info:
+            DoublyLabeledDyckWord(base, extra)
+        assert str(info.value) == want
+
+
 def test_eligible_positions_memo_is_invisible():
     warm = parse_word(FIGURE_WORD, 5)
     cold = parse_word(FIGURE_WORD, 5)

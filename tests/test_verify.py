@@ -211,6 +211,44 @@ def test_word_census_matches_filtered_enumerators():
             )
 
 
+def test_prefix_census_matches_filtered_prefixes():
+    for n in range(0, 6):
+        for k in range(1, 4):
+            for i in range(n + 1):
+                census = verify._prefix_census(n, i, k)
+                comps = list(lidskii.iter_dominant(n - i, k + 1, (0,) * (k + 1)))
+                assert set(census) <= set(comps)
+                for comp in comps:
+                    filtered = dyck.dyck_prefixes(n, i, k, comp)
+                    assert census.get(comp, 0) == sum(1 for _ in filtered)
+            assert verify._prefix_census(n, 0, k) == verify._word_census(n, k)[0]
+
+
+@pytest.mark.parametrize("clean_run_first", [False, True])
+@pytest.mark.parametrize(
+    "suite,max_n,failed",
+    [("dyck-counts", "3", {"PREFIX-COUNTS"}), ("cyclic", "2", {"CYC-PREFIX-ROUTE"})],
+)
+def test_planted_prefix_loss_fails_the_prefix_cases(
+    monkeypatch, capsys, clean_run_first, suite, max_n, failed
+):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    argv = ["verify", "--suite", suite, "--max-n", max_n]
+    if clean_run_first:
+        # the prefix census this clean run leaves cached must not hide the
+        # planted error
+        assert main(argv) == 0
+        assert _failed_ids(capsys) == set()
+    original = dyck.dyck_prefixes
+
+    def drop_last(n, i, k, label_counts=None):
+        return iter(list(original(n, i, k, label_counts))[:-1])
+
+    monkeypatch.setattr(dyck, "dyck_prefixes", drop_last)
+    assert main(argv) == 1
+    assert _failed_ids(capsys) == failed
+
+
 CENSUS_IDS = ("LD-LABEL-COUNTS", "LD-ZEROS", "DLD-WEIGHTED")
 
 

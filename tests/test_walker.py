@@ -58,6 +58,22 @@ def test_prefixes_match_oracle(n, k):
 
 
 @pytest.mark.parametrize("n,k", GRID)
+def test_unfiltered_prefixes_match_oracle(n, k):
+    for i in range(n + 1):
+        expected = _oracle(2 * n - i, k, dyck.DyckPrefixWord, lambda w: w.n == n)
+        assert list(dyck.dyck_prefixes(n, i, k)) == expected
+
+
+@pytest.mark.parametrize("k", [0, -1, -2])
+@pytest.mark.parametrize("n,i", [(0, 0), (2, 0), (2, 1), (2, 2)])
+def test_unfiltered_prefixes_reject_a_bound_below_one(n, i, k):
+    # the shared pool of k = -1 is empty: without the check the walk would
+    # place no down-step and yield nothing
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        list(dyck.dyck_prefixes(n, i, k))
+
+
+@pytest.mark.parametrize("n,k", GRID)
 def test_extended_words_match_oracle(n, k):
     assert list(cyclic.extended_words(n, k)) == _oracle(2 * n + 1, k, cyclic.ExtendedWord)
     for i in range(n + 1):
