@@ -3,8 +3,10 @@
 The volume of the flow polytope is a sum over compositions s of m-n
 dominating the shifted out-degree vector, each weighted by a multinomial
 coefficient and a flow count on the restriction to the first n vertices.
-A query evaluates the sum with one power table per supply, a_i^e for
-e <= m-n, so each term is one coefficient times n table lookups.
+A term is stored as its coefficient and the slots of its nonzero
+exponents only: slot i * width + e stands for a_i^e, with width = m-n+1.
+A query builds one flat table of every a_i^e and multiplies, per term,
+the table entries at its slots, so a zero exponent costs nothing.
 Everything is exact integer arithmetic; polynomial fitting uses Fractions.
 
 The sum is the volume only when every non-sink vertex has an out-edge
@@ -17,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from operator import getitem
 from typing import Callable, Iterator, Sequence
 
 from .graphs import DirectedStepGraph, NetFlow, augment, restrict
@@ -77,20 +78,24 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=32)
-def volume_terms(graph: DirectedStepGraph) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Pairs (s, multinomial * flow count of the restriction at s - t);
-    the volume at a net flow is the sum of coeff * prod a_i^{s_i}.  The
-    terms of the 32 most recently used graphs stay cached."""
+def volume_terms(graph: DirectedStepGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Pairs (coeff, slots), one per dominant composition s with a nonzero
+    flow count, in iter_dominant's order: coeff is the multinomial times
+    the flow count of the restriction at s - t, and slots holds
+    i * (m-n+1) + s_i for each i with s_i > 0, in increasing i.  The
+    volume at a net flow is the sum of coeff * prod a_i^{s_i}.  The terms
+    of the 32 most recently used graphs stay cached."""
     return _lidskii_terms(graph, count_flows)
 
 
 def _lidskii_terms(
     graph: DirectedStepGraph, kostant: Callable[[DirectedStepGraph, NetFlow], int]
-) -> tuple[tuple[tuple[int, ...], int], ...]:
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
     n = graph.vertex_count - 1
     if n < 1:
         raise ValueError("volume needs at least two vertices")
     m = graph.edge_count
+    width = m - n + 1
     degrees = graph.out_degrees()
     t = tuple(degrees[i] - 1 for i in range(n))
     inner = restrict(graph, n)
@@ -98,7 +103,8 @@ def _lidskii_terms(
     for s in iter_dominant(m - n, n, t):
         flows = kostant(inner, NetFlow(tuple(si - ti for si, ti in zip(s, t))))
         if flows:
-            terms.append((s, multinomial(m - n, s) * flows))
+            slots = tuple(i * width + e for i, e in enumerate(s) if e)
+            terms.append((multinomial(m - n, s) * flows, slots))
     return tuple(terms)
 
 
@@ -115,6 +121,8 @@ def volume(
     supply or a vertex without one raises ValueError.  kostant, when given,
     replaces count_flows as the flow counter of the restriction, and the
     terms are then computed afresh instead of read from volume_terms.
+    Each query builds one flat table a_i^e, i < n and e <= m-n, and each
+    term multiplies only the entries at its slots.
     """
     if len(flow) != graph.vertex_count:
         raise ValueError("net flow length must match the graph")
@@ -123,9 +131,10 @@ def volume(
         raise ValueError("volume needs nonnegative supplies on every non-sink vertex")
     _check_out_edges(graph.out_degrees(), "volume")
     terms = volume_terms(graph) if kostant is None else _lidskii_terms(graph, kostant)
-    top = graph.edge_count - graph.vertex_count + 1
-    powers = [[a**e for e in range(top + 1)] for a in values[:-1]]
-    return sum(coeff * prod(map(getitem, powers, s)) for s, coeff in terms)
+    width = graph.edge_count - graph.vertex_count + 2
+    table = [a**e for a in values[:-1] for e in range(width)]
+    get = table.__getitem__
+    return sum(coeff * prod(map(get, slots)) for coeff, slots in terms)
 
 
 def _check_out_edges(degrees: tuple[int, ...], what: str) -> None:

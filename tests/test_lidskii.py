@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from flowvol.graphs import (
     caracol_graph,
     parse_graph_spec,
     pitman_stanley_graph,
+    restrict,
 )
 from flowvol.kostant import count_flows
 from flowvol import lidskii
@@ -106,6 +109,44 @@ def test_volume_terms_match_the_constant_term_engine():
         assert lidskii.volume_terms(g) == lidskii._lidskii_terms(g, _ct_counter)
 
 
+FAMILY_GRAPHS = {f"ps{n}": pitman_stanley_graph(n) for n in range(2, 10)}
+FAMILY_GRAPHS.update({f"car{n}": caracol_graph(n) for n in range(3, 10)})
+
+
+@pytest.mark.parametrize("name", FAMILY_GRAPHS)
+def test_volume_terms_keep_only_nonzero_exponent_slots(name):
+    # slot i * width + e stands for a_i^e; decoding must give back each
+    # dominant composition once, in iter_dominant's decreasing order
+    graph = FAMILY_GRAPHS[name]
+    n = graph.vertex_count - 1
+    total = graph.edge_count - n
+    width = total + 1
+    t = [d - 1 for d in graph.out_degrees()[:n]]
+    previous = None
+    for coeff, slots in lidskii.volume_terms(graph):
+        assert coeff > 0
+        s = [0] * n
+        vertex = -1
+        for slot in slots:
+            i, e = divmod(slot, width)
+            assert i > vertex and e >= 1
+            s[i] = e
+            vertex = i
+        assert vertex < n and sum(s) == total
+        assert all(sum(s[: j + 1]) >= sum(t[: j + 1]) for j in range(n))
+        assert previous is None or s < previous
+        previous = s
+
+
+@pytest.mark.parametrize(("graph", "count"), [
+    (pitman_stanley_graph(8), 429), (caracol_graph(8), 429),
+    (caracol_graph(9), 1430), (pitman_stanley_graph(10), 4862),
+], ids=["ps8", "car8", "car9", "ps10"])
+def test_volume_term_counts(graph, count):
+    # the counts behind perfbench's lidskii.volume_terms.terms
+    assert len(lidskii.volume_terms(graph)) == count
+
+
 def _ct_counter(graph, flow):
     return evaluate(flow_count_expression(graph, flow))
 
@@ -139,6 +180,80 @@ def test_volume_is_the_leading_ehrhart_coefficient(case):
 
     assert difference(d + 1) == 0
     assert volume(g, NetFlow.with_sink(head)) == difference(d)
+
+
+def _dense_volume(graph, flow):
+    """volume as it was before terms kept only their nonzero exponents:
+    each term is (s, coeff) and multiplies all n entries of one power
+    table per supply, zero exponents included."""
+    n = graph.vertex_count - 1
+    m = graph.edge_count
+    degrees = graph.out_degrees()
+    t = tuple(degrees[i] - 1 for i in range(n))
+    inner = restrict(graph, n)
+    terms = []
+    for s in iter_dominant(m - n, n, t):
+        flows = count_flows(inner, NetFlow(tuple(si - ti for si, ti in zip(s, t))))
+        if flows:
+            terms.append((s, multinomial(m - n, s) * flows))
+    top = graph.edge_count - graph.vertex_count + 1
+    powers = [[a**e for e in range(top + 1)] for a in flow.values[:-1]]
+    return sum(coeff * prod(map(getitem, powers, s)) for s, coeff in terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_and_supplies())
+def test_volume_matches_the_dense_reference(case):
+    g, head = case
+    flow = NetFlow.with_sink(head)
+    expected = _dense_volume(g, flow)
+    assert volume(g, flow) == expected
+    # the constant-term counter needs a simple graph; count_flows passed as
+    # kostant still builds the terms afresh instead of reading the cache
+    assert volume(g, flow, count_flows) == expected
+
+
+def _supplies_with_zeros(n, seed):
+    """Supplies from 0..30 for n non-sink vertices: all zeros, a zero at
+    each end, then random draws where about half of the entries are 0."""
+    rng = random.Random(seed)
+    draws = [[0] * n, [0] + [rng.randint(1, 30) for _ in range(n - 1)],
+             [rng.randint(1, 30) for _ in range(n - 1)] + [0]]
+    for _ in range(4):
+        draws.append([rng.choice((0, rng.randint(1, 30))) for _ in range(n)])
+    return draws
+
+
+@pytest.mark.parametrize("name", [f"ps{n}" for n in range(2, 9)] + [f"car{n}" for n in range(3, 9)])
+def test_volume_matches_the_dense_reference_on_the_families(name):
+    # 0**0 == 1 is where a dropped exponent could go wrong
+    graph = FAMILY_GRAPHS[name]
+    n = graph.vertex_count - 1
+    for head in _supplies_with_zeros(n, name):
+        flow = NetFlow.with_sink(head)
+        expected = _dense_volume(graph, flow)
+        assert volume(graph, flow) == expected
+        assert volume(graph, flow, _ct_counter) == expected
+
+
+def test_a_default_volume_query_builds_its_terms_through_the_cache_once(monkeypatch):
+    # perfbench counts volume_terms calls and hits per volume query
+    real = lidskii.volume_terms
+    seen = []
+
+    def counting(graph):
+        seen.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(lidskii, "volume_terms", counting)
+    g = caracol_graph(4)
+    assert volume(g, NetFlow.with_sink((1, 2, 2, 2))) == 98
+    assert seen == [g]
+    seen.clear()
+    before = real.cache_info()
+    assert volume(g, NetFlow.with_sink((1, 2, 2, 2)), _ct_counter) == 98
+    assert seen == []
+    assert real.cache_info() == before
 
 
 @pytest.mark.parametrize(("spec", "head", "vertex"), [
