@@ -2,12 +2,22 @@
 
 The volume of the flow polytope is a sum over compositions s of m-n
 dominating the shifted out-degree vector, each weighted by a multinomial
-coefficient and a flow count on the restriction to the first n vertices.
-A term is stored as its coefficient and the slots of its nonzero
-exponents only: slot i * width + e stands for a_i^e, with width = m-n+1.
-A query builds one flat table of every a_i^e and multiplies, per term,
-the table entries at its slots, so a zero exponent costs nothing.
-Everything is exact integer arithmetic; polynomial fitting uses Fractions.
+coefficient and a flow count on the restriction to the first n vertices:
+V(a) = sum_s coeff_s * prod_i a_i^{s_i}.  A monomial is named by its
+slots: slot i * width + e stands for a_i^e, with width = m-n+1, and only
+the nonzero exponents get a slot, so 0**0 costs nothing.
+
+Each graph's terms are stored split at one vertex h, the cut:
+
+    V(a) = sum_left (prod_{i<h} a_i^{s_i}) * sum_j coeff_j * R[right_j]
+
+where R holds the distinct right-hand monomials (prod_{i>=h} a_i^{s_i}).
+A query builds one flat table of every a_i^e, computes R once, and sums
+each left group's coefficients times its R entries in C, so it costs one
+Python step per distinct left and one per distinct right instead of one
+per term.  The cut is the h that minimises that count, found from the
+terms alone.  Everything is exact integer arithmetic; polynomial fitting
+uses Fractions.
 
 The sum is the volume only when every non-sink vertex has an out-edge
 (the shifted out-degree of such a vertex would be -1), so volume,
@@ -16,9 +26,13 @@ unit_flow_volume and ehrhart_like reject any other graph.
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, prod
+from operator import mul, xor
 from typing import Callable, Iterator, Sequence
 
 from .graphs import DirectedStepGraph, NetFlow, augment, restrict
@@ -33,9 +47,14 @@ def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[i
     """The compositions of total into `length` nonnegative parts whose every
     prefix sum is at least the matching prefix sum of t, in lexicographically
     decreasing order, generated with prefix-sum pruning.  t entries may be
-    negative (shifted out-degree vectors can be)."""
+    negative (shifted out-degree vectors can be).  A t of the wrong length
+    raises ValueError at the call, before anything is iterated."""
     if len(t) != length:
         raise ValueError("t must have the given length")
+    return _dominant(total, length, t)
+
+
+def _dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
     if length == 0:
         if total == 0:
             yield ()
@@ -77,35 +96,127 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return result
 
 
+@dataclass(frozen=True)
+class LidskiiTerms:
+    """The terms of one graph's Lidskii sum, split at a cut vertex h.
+
+    groups holds one (left, coeffs, indices) triple per distinct left part
+    s_0..s_{h-1}: left is that part's slots, and the group's terms are
+    coeffs[j] * a^left * a^rights[indices[j]], where rights holds the
+    distinct right parts s_h..s_{n-1} as slots.  Iterating yields each
+    term as (coeff, slots) in iter_dominant's order, and len() is the
+    number of terms.
+    """
+
+    groups: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
+    rights: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        return sum(len(coeffs) for _, coeffs, _ in self.groups)
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        for left, coeffs, indices in self.groups:
+            for coeff, j in zip(coeffs, indices):
+                yield coeff, left + self.rights[j]
+
+
 @lru_cache(maxsize=32)
-def volume_terms(graph: DirectedStepGraph) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Pairs (coeff, slots), one per dominant composition s with a nonzero
-    flow count, in iter_dominant's order: coeff is the multinomial times
-    the flow count of the restriction at s - t, and slots holds
-    i * (m-n+1) + s_i for each i with s_i > 0, in increasing i.  The
-    volume at a net flow is the sum of coeff * prod a_i^{s_i}.  The terms
-    of the 32 most recently used graphs stay cached."""
+def volume_terms(graph: DirectedStepGraph) -> LidskiiTerms:
+    """The Lidskii terms of the graph with count_flows as the flow counter,
+    split at the cut that minimises distinct lefts plus distinct rights.
+    There is one term per dominant composition s with a nonzero flow
+    count: its coeff is the multinomial times the flow count of the
+    restriction at s - t, and its slots hold i * (m-n+1) + s_i for each
+    i with s_i > 0, in increasing i.  The terms of the 32 most recently
+    used graphs stay cached; the result is immutable, so concurrent
+    callers may share it."""
     return _lidskii_terms(graph, count_flows)
 
 
 def _lidskii_terms(
     graph: DirectedStepGraph, kostant: Callable[[DirectedStepGraph, NetFlow], int]
-) -> tuple[tuple[int, tuple[int, ...]], ...]:
+) -> LidskiiTerms:
+    """The graph's Lidskii terms, with kostant as the flow counter of the
+    restriction, in the two-level form: built flat by _packed_terms, then
+    split once at the cut _best_cut derives from the terms alone."""
+    n, total, coeffs, keys = _packed_terms(graph, kostant)
+    return _split(n, total, coeffs, keys, _best_cut(n, total, keys))
+
+
+def _packed_terms(
+    graph: DirectedStepGraph, kostant: Callable[[DirectedStepGraph, NetFlow], int]
+) -> tuple[int, int, list[int], list[int]]:
+    """(n, m-n, coeffs, keys), one coeff and key per term in iter_dominant's
+    order.  A key packs s into one integer, (m-n).bit_length() bits per
+    part with s_0 in the lowest bits, so the left part s_0..s_{h-1} is
+    key & (1 << shift) - 1 and the right part is key >> shift, with
+    shift = h * bits."""
     n = graph.vertex_count - 1
     if n < 1:
         raise ValueError("volume needs at least two vertices")
-    m = graph.edge_count
-    width = m - n + 1
+    total = graph.edge_count - n
     degrees = graph.out_degrees()
     t = tuple(degrees[i] - 1 for i in range(n))
     inner = restrict(graph, n)
-    terms = []
-    for s in iter_dominant(m - n, n, t):
+    place = [1 << i * total.bit_length() for i in range(n)]
+    coeffs, keys = [], []
+    for s in iter_dominant(total, n, t):
         flows = kostant(inner, NetFlow(tuple(si - ti for si, ti in zip(s, t))))
         if flows:
-            slots = tuple(i * width + e for i, e in enumerate(s) if e)
-            terms.append((multinomial(m - n, s) * flows, slots))
-    return tuple(terms)
+            coeffs.append(multinomial(total, s) * flows)
+            keys.append(sum(map(mul, s, place)))
+    return n, total, coeffs, keys
+
+
+def _best_cut(n: int, total: int, keys: list[int]) -> int:
+    """The cut h in 0..n with the fewest distinct lefts plus distinct
+    rights, the Python steps of a query; ties go to the smallest h.
+
+    Terms sharing s_0..s_{h-1} are consecutive in iter_dominant's order, so
+    the lefts at h number 1 plus the consecutive pairs whose first
+    differing vertex (the lowest set bit of their xor) is below h.  Sorted
+    as integers, the keys are in lexicographic order of the reversed s,
+    where terms sharing s_h..s_{n-1} are consecutive, so the rights number
+    1 plus the sorted pairs whose last differing vertex (the highest set
+    bit) is h or above.  That is one pass over the terms in each order.
+    """
+    bits = total.bit_length()
+    ordered = sorted(keys)
+    first = Counter(((x & -x).bit_length() - 1) // bits for x in map(xor, keys, keys[1:]))
+    last = Counter((x.bit_length() - 1) // bits for x in map(xor, ordered, ordered[1:]))
+
+    def steps(h: int) -> int:
+        lefts = sum(count for vertex, count in first.items() if vertex < h)
+        rights = sum(count for vertex, count in last.items() if vertex >= h)
+        return 2 + lefts + rights
+
+    return min(range(n + 1), key=steps)
+
+
+def _split(n: int, total: int, coeffs: list[int], keys: list[int], cut: int) -> LidskiiTerms:
+    """The packed terms split at the cut: the terms of one left part are
+    consecutive in iter_dominant's order and form one group, and each
+    distinct right part gets an index in order of first use."""
+    bits = total.bit_length()
+    shift = cut * bits
+    mask = (1 << shift) - 1
+    top = (1 << bits) - 1
+
+    def slots(key: int, vertices: range) -> tuple[int, ...]:
+        exponents = (key >> i * bits & top for i in vertices)
+        return tuple(i * (total + 1) + e for i, e in zip(vertices, exponents) if e)
+
+    index: dict[int, int] = {}
+    groups = []
+    for left, run in groupby(zip(coeffs, keys), lambda term: term[1] & mask):
+        run = tuple(run)
+        groups.append((
+            slots(left, range(cut)),
+            tuple(coeff for coeff, _ in run),
+            tuple(index.setdefault(key >> shift, len(index)) for _, key in run),
+        ))
+    rights = tuple(slots(right << shift, range(cut, n)) for right in index)
+    return LidskiiTerms(tuple(groups), rights)
 
 
 def volume(
@@ -121,8 +232,9 @@ def volume(
     supply or a vertex without one raises ValueError.  kostant, when given,
     replaces count_flows as the flow counter of the restriction, and the
     terms are then computed afresh instead of read from volume_terms.
-    Each query builds one flat table a_i^e, i < n and e <= m-n, and each
-    term multiplies only the entries at its slots.
+    Each query builds one flat table a_i^e, i < n and e <= m-n, then the
+    value of every distinct right monomial, then per left group its
+    monomial times the group's coefficients dotted with its right values.
     """
     if len(flow) != graph.vertex_count:
         raise ValueError("net flow length must match the graph")
@@ -134,7 +246,11 @@ def volume(
     width = graph.edge_count - graph.vertex_count + 2
     table = [a**e for a in values[:-1] for e in range(width)]
     get = table.__getitem__
-    return sum(coeff * prod(map(get, slots)) for coeff, slots in terms)
+    right = [prod(map(get, slots)) for slots in terms.rights].__getitem__
+    return sum(
+        prod(map(get, left)) * sum(map(mul, coeffs, map(right, indices)))
+        for left, coeffs, indices in terms.groups
+    )
 
 
 def _check_out_edges(degrees: tuple[int, ...], what: str) -> None:

@@ -1,8 +1,11 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from operator import getitem
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,3 +370,113 @@ def test_fit_detects_insufficient_degree():
     # sample points cannot pin it down and extrapolation must fail
     with pytest.raises(FitMismatchError):
         fit_ehrhart_polynomial(caracol_graph(6), 8)
+
+
+def test_iter_dominant_checks_its_arguments_at_the_call():
+    # nothing is iterated: the length check must not wait for next()
+    with pytest.raises(ValueError, match="t must have the given length"):
+        iter_dominant(3, 2, (1,))
+
+
+def _volumes_at_every_cut(graph, flows):
+    """For each cut h in 0..n, volume at each flow with the graph's terms
+    split at h in place of the cut volume_terms chooses."""
+    n, total, coeffs, keys = lidskii._packed_terms(graph, count_flows)
+    out = []
+    for cut in range(n + 1):
+        split = lidskii._split(n, total, coeffs, keys, cut)
+        assert list(split) == list(lidskii.volume_terms(graph))
+        with mock.patch.object(lidskii, "volume_terms", lambda g: split):
+            out.append([volume(graph, flow) for flow in flows])
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_supplies())
+def test_the_split_is_exact_at_every_cut(case):
+    # the slot boundary i < h and the empty left (h = 0) or right (h = n)
+    g, head = case
+    flow = NetFlow.with_sink(head)
+    expected = _dense_volume(g, flow)
+    for values in _volumes_at_every_cut(g, [flow]):
+        assert values == [expected]
+
+
+@pytest.mark.parametrize("name", [f"ps{n}" for n in range(2, 11)] + [f"car{n}" for n in range(3, 10)])
+def test_the_split_is_exact_at_every_cut_on_the_families(name):
+    # zero supplies on either side of the cut exercise 0**0 in both halves
+    graph = pitman_stanley_graph(int(name[2:])) if name.startswith("ps") else caracol_graph(int(name[3:]))
+    flows = [NetFlow.with_sink(head) for head in _supplies_with_zeros(graph.vertex_count - 1, name)]
+    expected = [_dense_volume(graph, flow) for flow in flows]
+    for values in _volumes_at_every_cut(graph, flows):
+        assert values == expected
+
+
+def _compositions(graph):
+    """The compositions s behind volume_terms, decoded from its slots."""
+    n = graph.vertex_count - 1
+    width = graph.edge_count - n + 1
+    out = []
+    for _, slots in lidskii.volume_terms(graph):
+        s = [0] * n
+        for slot in slots:
+            i, e = divmod(slot, width)
+            s[i] = e
+        out.append(tuple(s))
+    return out
+
+
+@pytest.mark.parametrize(("graph", "lefts", "rights"), [
+    (pitman_stanley_graph(8), None, None), (pitman_stanley_graph(10), 429, 132),
+    (caracol_graph(8), None, None), (caracol_graph(9), 110, 132),
+], ids=["ps8", "ps10", "car8", "car9"])
+def test_the_chosen_cut_has_the_fewest_lefts_plus_rights(graph, lefts, rights):
+    # brute force over every cut with sets; a cut at 0 or n would cost one
+    # more than the term count
+    terms = lidskii.volume_terms(graph)
+    compositions = _compositions(graph)
+    n = graph.vertex_count - 1
+    costs = [len({s[:h] for s in compositions}) + len({s[h:] for s in compositions})
+             for h in range(n + 1)]
+    assert len(set(left for left, _, _ in terms.groups)) == len(terms.groups)
+    assert len(set(terms.rights)) == len(terms.rights)
+    assert len(terms.groups) + len(terms.rights) == min(costs)
+    assert min(costs) < len(terms) + 1
+    if lefts is not None:
+        assert (len(terms.groups), len(terms.rights)) == (lefts, rights)
+
+
+def test_concurrent_cold_queries_share_one_set_of_terms():
+    # four threads race to build and read the cached terms of two graphs;
+    # every value must still be the dense reference's
+    per_graph = [
+        [(graph, NetFlow.with_sink(head)) for head in _supplies_with_zeros(graph.vertex_count - 1, seed)]
+        for graph, seed in ((pitman_stanley_graph(9), "ps9"), (caracol_graph(8), "car8"))
+    ]
+    cases = [case for pair in zip(*per_graph) for case in pair]  # ps9, car8, ps9, ...
+    expected = [_dense_volume(graph, flow) for graph, flow in cases]
+    wrong = []
+
+    def work(offset):
+        for idx in range(len(cases)):
+            pick = (idx + offset) % len(cases)
+            try:
+                value = volume(*cases[pick])
+            except Exception as exc:
+                value = exc
+            if value != expected[pick]:
+                wrong.append((pick, value))
+
+    lidskii.volume_terms.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
