@@ -71,9 +71,11 @@ class NetFlow:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-        if sum(self.values) != 0:
-            raise ValueError(f"net flow entries must sum to zero, got {sum(self.values)}")
+        values = tuple(map(int, self.values))
+        object.__setattr__(self, "values", values)
+        total = sum(values)
+        if total != 0:
+            raise ValueError(f"net flow entries must sum to zero, got {total}")
 
     def __len__(self) -> int:
         return len(self.values)

@@ -24,25 +24,27 @@ augmented graph, thus costs one number of state rather than one per
 target.  list_flows and iter_flows keep the literal per-edge enumeration
 as the oracle that the count is checked against.
 
-count_flows remembers the sweep of the graph it counted last (one graph,
-compared by identity or equality): the graph's setup and, from the second
-consecutive call on that graph on, the cut state after each vertex.  A
-first call keeps only the setup, so a one-off count stores no states.  A
-later call on that graph resumes after the longest prefix of supplies it
-shares with the stored sweep, and stores the states it sweeps from there
-on, up to a vertex where no partial flow survives.  The resume is exact
-because the cut state after vertex v depends only on the graph and the
-supplies of vertices 1..v.  Stored states are never changed and a stored
-list only grows: each call sweeps into a fresh copy of the kept prefix,
-and each step into a copy of the channel list, so threads may share the
-remembered sweep.  volume_terms counts flows on one restriction for
-compositions in decreasing lexicographic order, so consecutive calls
-share long prefixes.
+count_flows keeps a table of sweep steps for the graph it counted last
+(one graph, compared by identity or equality).  A step is keyed by the
+number of the cut state before vertex v and the supply of v, and holds the
+cut state after v with its number; a number names one (v, live channels,
+states) triple, so equal states reached from different supply prefixes
+share every later step.  The key is exact because the state after v
+depends only on the graph, the state before v and v's supply.  A first
+call on a graph keeps only the graph's setup, so a one-off count stores no
+steps; from the second consecutive call on, each call reads the steps it
+finds and stores the ones it sweeps.  Each distinct cut state is stored
+once, as its dict and its frozen key, and a step holds only references, so
+memory is bounded by the graph's distinct cut states; the table is freed
+when another graph is counted.  Entries are never changed once written
+and numbers come from one shared counter, so threads may share the table.
+volume_terms counts flows on one restriction for many supplies in a row,
+whose sweeps pass through few distinct states, so most steps are read.
 """
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import count, islice
 from math import comb
 from typing import Iterator
 
@@ -56,40 +58,46 @@ def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
     n = graph.vertex_count
     net = flow.values
     last = _last
-    # only a repeat call on the graph stores its sweep
+    # only a repeat call on the graph reads and fills its table of steps
     keep = last is not None and (last[0] is graph or last[0] == graph)
     if keep:
-        _, mult, feeders, deferred, stored = last
+        _, mult, feeders, deferred, numbers, steps = last
     else:
         mult, feeders, deferred = _setup(graph)
-        stored = []
-    done = 0
-    while done < len(stored) and stored[done][0] == net[done]:
-        done += 1
-    # sweep into a fresh list, so that a stored one, which another thread
-    # may be reading, only ever grows
-    steps = stored[:done]
-    _last = (graph, mult, feeders, deferred, steps)
+        _last = (graph, mult, feeders, deferred, {}, {})
+        # a one-off count tracks no state numbers, so it reads no steps
+        steps = {}
     # the cut state: one entry per live channel, where channel w > 0 is the
     # in-flow gathered so far by vertex w and channel -u the pending surplus
-    # of deferred vertex u
-    states, live = steps[-1][1:] if steps else ({(): 1}, [])
-    for v in range(done + 1, n):
-        live = live.copy()
-        for u in feeders[v]:
-            states = _share(states, live, u, v, mult[u], n)
-        states = _settle(states, live, v, net[v - 1], mult[v], n, deferred[v])
+    # of deferred vertex u; number 0 names the state before vertex 1
+    number, states, live = 0, {(): 1}, ()
+    for v, supply in enumerate(net[:-1], 1):
+        step = steps.get((number, supply))
+        if step is None:
+            live = list(live)
+            for u in feeders[v]:
+                states = _share(states, live, u, v, mult[u], n)
+            states = _settle(states, live, v, supply, mult[v], n, deferred[v])
+            live = tuple(live)
+            if keep:
+                key = (v, live, frozenset(states.items()))
+                step = numbers.setdefault(key, (next(_numbers), states, live))
+                steps.setdefault((number, supply), step)
+                number, states, live = step
+        else:
+            number, states, live = step
         if not states:
             return 0
-        if keep:
-            steps.append((net[v - 1], states, live))
     return states.get((), 0)
 
 
-# the sweep of the graph counted last: the graph, its _setup, and, once a
-# second call came, per swept vertex v the entry (supply of v, states, live)
-# as they stood after v
+# the graph counted last, its _setup, and its table: numbers maps the key
+# (v, live, frozenset(states.items())) of each cut state after a vertex v to
+# (number, states, live), and steps maps (number before v, supply of v) to
+# that entry for the state after v
 _last = None
+# state numbers, unique across threads; 0 is the state before vertex 1
+_numbers = count(1)
 
 
 def _setup(graph):

@@ -372,6 +372,21 @@ def test_fit_detects_insufficient_degree():
         fit_ehrhart_polynomial(caracol_graph(6), 8)
 
 
+def test_fit_mismatch_samples_the_check_point_once(monkeypatch):
+    # a planted wrong value at k_max + 1 must be sampled once, for the check
+    # and the message alike
+    calls = []
+
+    def planted(graph, k):
+        calls.append(k)
+        return ehrhart_ps_closed(4, k) + (k == 7)
+
+    monkeypatch.setattr(lidskii, "ehrhart_like", planted)
+    with pytest.raises(FitMismatchError, match=f"sampled value is {ehrhart_ps_closed(4, 7) + 1}$"):
+        fit_ehrhart_polynomial(pitman_stanley_graph(4), 6)
+    assert calls == [1, 2, 3, 4, 5, 6, 7]
+
+
 def test_iter_dominant_checks_its_arguments_at_the_call():
     # nothing is iterated: the length check must not wait for next()
     with pytest.raises(ValueError, match="t must have the given length"):
