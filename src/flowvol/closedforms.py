@@ -62,14 +62,9 @@ def ehrhart_car_closed(n: int, k: int) -> int:
 # -- labeled Dyck word counts --------------------------------------------------
 
 def labeled_dyck_count(n: int, k: int, label_counts: Sequence[int]) -> int:
-    """Words of half-length n with a_i down-steps labeled i."""
-    counts = tuple(int(c) for c in label_counts)
-    if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n:
-        raise ValueError("label_counts must be k+1 nonnegative entries summing to n")
-    product = 1
-    for c in counts:
-        product *= multiset_coeff(n + 1, c)
-    return exact_div(product, n + 1)
+    """Words of half-length n with a_i down-steps labeled i: the prefixes
+    that end at height 0."""
+    return prefix_count_closed(n, 0, k, label_counts)
 
 
 def labeled_dyck_count_by_zeros(n: int, k: int, d: int) -> int:

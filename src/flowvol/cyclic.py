@@ -10,7 +10,9 @@ labeled Dyck words.
 Extended words are enumerated by ``dyck``'s one walker, started from the
 prefix U with a height floor below any height the word can reach, and
 validated by ``dyck``'s step validator; this module adds only the "starts
-with U" and up/down-count conditions.
+with U" and up/down-count conditions.  A whole word is its prefix class at
+height 0: ``ExtendedWord`` is a ``PrefixExtendedWord`` that ends at height
+0, as ``dyck.LabeledDyckWord`` is a ``dyck.DyckPrefixWord``.
 """
 
 from __future__ import annotations
@@ -20,27 +22,6 @@ from typing import Iterator
 
 from . import dyck
 from .dyck import UP, LabeledDyckWord, tokenize_steps
-
-
-@dataclass(frozen=True)
-class ExtendedWord:
-    """Word of odd length 2n+1 with n+1 up-steps, starting with U."""
-
-    letters: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        _validate_letters(self.letters, self.k)
-        downs = len(self.letters) - self.letters.count(UP)
-        if len(self.letters) != 2 * downs + 1:
-            raise ValueError("extended word must have exactly one more U than down-steps")
-
-    @property
-    def n(self) -> int:
-        return len(self.letters) // 2
-
-    def __str__(self) -> str:
-        return dyck._format_steps(self.letters)
 
 
 @dataclass(frozen=True)
@@ -68,6 +49,16 @@ class PrefixExtendedWord:
         return dyck._format_steps(self.letters)
 
 
+class ExtendedWord(PrefixExtendedWord):
+    """Prefix extended word at height 0: length 2n+1 with n+1 up-steps."""
+
+    def __post_init__(self) -> None:
+        # not the prefix check: too many down-steps gets this message too
+        _validate_letters(self.letters, self.k)
+        if self.height != 0:
+            raise ValueError("extended word must have exactly one more U than down-steps")
+
+
 def _validate_letters(letters: tuple[int, ...], k: int) -> None:
     # an extended word has no height condition: its floor is out of reach
     dyck._validate_steps(letters, k, -len(letters))
@@ -79,27 +70,27 @@ def parse_extended_word(text: str, k: int) -> ExtendedWord:
     return ExtendedWord(tokenize_steps(text), k)
 
 
-def survivor_index(word: ExtendedWord | PrefixExtendedWord, *, strategy: str = "leftmost") -> int:
+def survivor_index(word: PrefixExtendedWord) -> int:
     """Ordinal (1-based, among the original U's) of the U left by repeatedly
-    deleting cyclically adjacent (U, D) pairs.
+    deleting cyclically adjacent (U, D) pairs from a word at height 0.
 
-    The deletion order must not change the answer; strategy picks which
-    deletable pair goes first so tests can compare orders.
+    Every deletion order leaves the same U (``index_candidates`` follows
+    them all), so the leftmost deletable pair goes first.
     """
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
+    if word.height != 0:
+        raise ValueError(f"survivor index needs height 0; the word is at height {word.height}")
     items = _items(word)
     ups = word.letters.count(UP)
     while ups > 1:
         candidates = _deletable(items)
         if not candidates:
             raise ValueError("no deletable pair although down-steps remain")
-        items = _without_pair(items, candidates[0] if strategy == "leftmost" else candidates[-1])
+        items = _without_pair(items, candidates[0])
         ups -= 1
     return min(ord_ for letter, ord_ in items if letter == UP)
 
 
-def _items(word: ExtendedWord | PrefixExtendedWord) -> tuple[tuple[int, int], ...]:
+def _items(word: PrefixExtendedWord) -> tuple[tuple[int, int], ...]:
     """(letter, ordinal of the U among the word's U's, or 0 for a down-step)."""
     items = []
     ordinal = 0
@@ -182,14 +173,14 @@ def extended_words(n: int, k: int) -> Iterator[ExtendedWord]:
     Dyck enumerations (high labels first, U last)."""
     if n < 0:
         raise ValueError("extended word size n must be >= 0")
-    yield from _words(n, n, k, ExtendedWord)
+    return _words(n, n, k, ExtendedWord)
 
 
 def prefix_extended_words(n: int, i: int, k: int) -> Iterator[PrefixExtendedWord]:
     """All prefix extended words of length 2n-i+1 with n+1 up-steps."""
     if not 0 <= i <= n:
         raise ValueError("height i must lie in 0..n")
-    yield from _words(n, n - i, k, PrefixExtendedWord)
+    return _words(n, n - i, k, PrefixExtendedWord)
 
 
 def _words(n: int, downs: int, k: int, build) -> Iterator:

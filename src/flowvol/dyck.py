@@ -15,10 +15,10 @@ fixes the number of 0-labels; a down-step may not take the height below
 ``floor``, which is 0 for Dyck words and below reach for extended words.
 One validator, ``_validate_steps``, checks every kind of word the same way.
 
-Every enumerated word is built through its validating constructor.  A
-labeled word memoises its ``eligible_positions()`` on the instance, out of
-sight of ``==``, ``hash``, ``repr`` and ``pickle``, because each doubly
-labeled word over it reads them again to check its extra channel.
+A whole word is its prefix class at height 0: ``LabeledDyckWord`` is a
+``DyckPrefixWord`` that adds only the balance check.  Every enumerated word
+is built through its validating constructor, and every enumerator checks
+its arguments at the call, before anything is iterated.
 """
 
 from __future__ import annotations
@@ -30,89 +30,9 @@ from typing import Callable, Iterator, Sequence
 UP = -1
 
 
-class _StepWord:
-    """Reads shared by the word classes that carry ``steps`` and ``k``."""
-
-    steps: tuple[int, ...]
-    k: int
-
-    def label_counts(self) -> tuple[int, ...]:
-        counts = [0] * (self.k + 1)
-        for s in self.steps:
-            if s != UP:
-                counts[s] += 1
-        return tuple(counts)
-
-    def __str__(self) -> str:
-        return format_word(self)
-
-
 @dataclass(frozen=True)
-class LabeledDyckWord(_StepWord):
-    """Balanced word over {U, D0..Dk} with the prefix and weak-decrease conditions."""
-
-    steps: tuple[int, ...]
-    k: int
-
-    def __post_init__(self) -> None:
-        _validate_steps(self.steps, self.k)
-        ups = self.steps.count(UP)
-        if 2 * ups != len(self.steps):
-            raise ValueError(
-                f"word has {ups} up-steps and {len(self.steps) - ups} down-steps; must balance"
-            )
-
-    @property
-    def n(self) -> int:
-        return len(self.steps) // 2
-
-    @property
-    def zero_label_count(self) -> int:
-        return self.steps.count(0)
-
-    def eligible_positions(self) -> tuple[int, ...]:
-        """Positions (0-based) of up-steps and 0-labeled down-steps, in path order."""
-        positions = self.__dict__.get("_eligible")
-        if positions is None:
-            positions = tuple(t for t, s in enumerate(self.steps) if s == UP or s == 0)
-            object.__setattr__(self, "_eligible", positions)
-        return positions
-
-    def __getstate__(self) -> dict[str, object]:
-        # the memo is derived data; leave it out so pickles match a cold word
-        state = dict(self.__dict__)
-        state.pop("_eligible", None)
-        return state
-
-
-@dataclass(frozen=True)
-class DoublyLabeledDyckWord:
-    """Labeled word plus a weakly increasing channel over up-steps and 0-labeled down-steps."""
-
-    base: LabeledDyckWord
-    extra: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        want = len(self.base.eligible_positions())
-        if len(self.extra) != want:
-            raise ValueError(f"extra channel has {len(self.extra)} labels; expected {want}")
-        k = self.base.k
-        prev = 1  # every label is at least 1, so the first slot needs no order check
-        for t, e in enumerate(self.extra, 1):
-            if not prev <= e <= k:
-                # the range is checked before the order
-                if not 1 <= e <= k:
-                    raise ValueError(f"extra label {e} at slot {t} outside 1..{k}")
-                raise ValueError(f"extra labels must be weakly increasing; violated at slot {t}")
-            prev = e
-
-    def __str__(self) -> str:
-        return format_word(self)
-
-
-@dataclass(frozen=True)
-class DyckPrefixWord(_StepWord):
-    """Word prefix with the same step conditions, ending at height i >= 0."""
+class DyckPrefixWord:
+    """Word prefix with the step conditions, ending at height i >= 0."""
 
     steps: tuple[int, ...]
     k: int
@@ -127,6 +47,64 @@ class DyckPrefixWord(_StepWord):
     @property
     def height(self) -> int:
         return 2 * self.n - len(self.steps)
+
+    def label_counts(self) -> tuple[int, ...]:
+        counts = [0] * (self.k + 1)
+        for s in self.steps:
+            if s != UP:
+                counts[s] += 1
+        return tuple(counts)
+
+    def __str__(self) -> str:
+        return format_word(self)
+
+
+class LabeledDyckWord(DyckPrefixWord):
+    """Dyck prefix that ends at height 0: a balanced word."""
+
+    def __post_init__(self) -> None:
+        # the prefix check, called directly: every enumerated word pays for super()
+        _validate_steps(self.steps, self.k)
+        ups = self.steps.count(UP)
+        if 2 * ups != len(self.steps):
+            raise ValueError(
+                f"word has {ups} up-steps and {len(self.steps) - ups} down-steps; must balance"
+            )
+
+    @property
+    def zero_label_count(self) -> int:
+        return self.steps.count(0)
+
+    def eligible_positions(self) -> tuple[int, ...]:
+        """Positions (0-based) of up-steps and 0-labeled down-steps, in path order."""
+        return tuple(t for t, s in enumerate(self.steps) if s == UP or s == 0)
+
+
+@dataclass(frozen=True)
+class DoublyLabeledDyckWord:
+    """Labeled word plus a weakly increasing channel over up-steps and 0-labeled down-steps."""
+
+    base: LabeledDyckWord
+    extra: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        steps = self.base.steps
+        # the eligible positions, counted inline: this runs for every enumerated word
+        want = len(steps) // 2 + steps.count(0)
+        if len(self.extra) != want:
+            raise ValueError(f"extra channel has {len(self.extra)} labels; expected {want}")
+        k = self.base.k
+        prev = 1  # every label is at least 1, so the first slot needs no order check
+        for t, e in enumerate(self.extra, 1):
+            if not prev <= e <= k:
+                # the range is checked before the order
+                if not 1 <= e <= k:
+                    raise ValueError(f"extra label {e} at slot {t} outside 1..{k}")
+                raise ValueError(f"extra labels must be weakly increasing; violated at slot {t}")
+            prev = e
+
+    def __str__(self) -> str:
+        return format_word(self)
 
 
 def _validate_steps(steps: Sequence[int], k: int, floor: int = 0) -> None:
@@ -189,7 +167,7 @@ def parse_word(text: str, k: int, *, doubly: bool = False) -> LabeledDyckWord | 
     return DoublyLabeledDyckWord(base, extra)
 
 
-def format_word(word: LabeledDyckWord | DoublyLabeledDyckWord | DyckPrefixWord) -> str:
+def format_word(word: DyckPrefixWord | DoublyLabeledDyckWord) -> str:
     if isinstance(word, DoublyLabeledDyckWord):
         extras = ",".join(str(e) for e in word.extra)
         return format_word(word.base) + "|" + extras
@@ -223,15 +201,17 @@ def labeled_dyck_words(
             raise ValueError("zeros filter must lie in 0..n")
         # 0-labels draw on the zeros owed, every other label on the rest
         pool, counts = (0,) + (1,) * k, [zeros, n - zeros]
-    yield from _walk([], n, n, k, pool, counts, 0, LabeledDyckWord)
+    return _walk([], n, n, k, pool, counts, 0, LabeledDyckWord)
 
 
 def doubly_labeled_dyck_words(n: int, k: int) -> Iterator[DoublyLabeledDyckWord]:
     """All doubly labeled words, by base word then extra channel."""
-    for base in labeled_dyck_words(n, k):
-        slots = len(base.eligible_positions())
-        for extra in weakly_increasing_tuples(slots, k):
-            yield DoublyLabeledDyckWord(base, extra)
+    bases = labeled_dyck_words(n, k)
+    return (
+        DoublyLabeledDyckWord(base, extra)
+        for base in bases
+        for extra in weakly_increasing_tuples(base.n + base.zero_label_count, k)
+    )
 
 
 def weakly_increasing_tuples(length: int, hi: int) -> Iterator[tuple[int, ...]]:
@@ -259,7 +239,7 @@ def dyck_prefixes(
         if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n - i:
             raise ValueError("label_counts must be k+1 nonnegative entries summing to n-i")
         pool = tuple(range(k + 1))
-    yield from _walk([], n, n - i, k, pool, counts, 0, DyckPrefixWord)
+    return _walk([], n, n - i, k, pool, counts, 0, DyckPrefixWord)
 
 
 def _walk(
@@ -324,7 +304,7 @@ def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[i
             yield from walk(prefix, total + d)
             prefix.pop()
 
-    yield from walk([], 0)
+    return walk([], 0)
 
 
 def min_constrained_count(n: int, mins: Sequence[int]) -> int:

@@ -62,9 +62,7 @@ def test_deletion_order_does_not_matter():
         words.extend(extended_words(n, k))
     rng.shuffle(words)
     for word in words[:200]:
-        left = survivor_index(word, strategy="leftmost")
-        right = survivor_index(word, strategy="rightmost")
-        assert left == right
+        assert index_candidates(word) == frozenset({survivor_index(word)})
 
 
 def test_project_already_dyck():
@@ -119,6 +117,27 @@ def test_index_candidates_degenerate_is_survivor():
     assert index_candidates(prefix) == frozenset({survivor_index(word)})
 
 
+def test_index_candidates_of_a_whole_word():
+    assert index_candidates(parse_extended_word(EXAMPLE, 1)) == frozenset({2})
+
+
+def test_survivor_index_names_the_height_of_a_prefix_word():
+    with pytest.raises(ValueError, match="height 1"):
+        survivor_index(PrefixExtendedWord(tokenize_steps("UU"), 1))
+    with pytest.raises(ValueError, match="height 2"):
+        survivor_index(PrefixExtendedWord(tokenize_steps("UUU"), 1))
+
+
+def test_extended_word_is_a_prefix_at_height_zero():
+    word = parse_extended_word(EXAMPLE, 1)
+    prefix = PrefixExtendedWord(word.letters, 1)
+    assert isinstance(word, PrefixExtendedWord)
+    assert word.height == 0
+    assert word.n == 3
+    assert word != prefix
+    assert str(word) == str(prefix) == EXAMPLE
+
+
 def test_index_candidates_all_up():
     prefix = PrefixExtendedWord(tokenize_steps("UUU"), 1)
     assert index_candidates(prefix) == frozenset({1, 2, 3})
@@ -151,6 +170,16 @@ def test_extended_words_count():
     # inserting downs after any of the n+1 ups independently per label
     assert sum(1 for _ in extended_words(2, 1)) == multiset_coeff(6, 2)
     assert sum(1 for _ in extended_words(3, 2)) == multiset_coeff(12, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: extended_words(-1, 1), lambda: prefix_extended_words(2, 3, 1)],
+    ids=["extended_words", "prefix_extended_words"],
+)
+def test_enumerators_check_arguments_at_the_call(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_extended_words_reject_negative_size():

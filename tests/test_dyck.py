@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from flowvol.closedforms import labeled_dyck_count
 from flowvol.dyck import (
     DoublyLabeledDyckWord,
+    DyckPrefixWord,
     LabeledDyckWord,
     doubly_labeled_dyck_words,
     dyck_prefixes,
@@ -69,7 +70,6 @@ def test_extra_channel_validation():
         DoublyLabeledDyckWord(base, (2, 1, 1))  # not weakly increasing
     with pytest.raises(ValueError):
         DoublyLabeledDyckWord(base, (1, 1, 3))  # label out of range
-    assert base.eligible_positions() is base.eligible_positions()  # memo is warm
     with pytest.raises(ValueError, match="expected 3"):
         DoublyLabeledDyckWord(base, (1, 1, 1, 1))  # wrong length
 
@@ -213,6 +213,32 @@ def test_prefix_heights():
         assert word.height == 2
         assert word.n == 4
         assert word.label_counts() == (1, 1, 0)
+
+
+def test_labeled_word_is_a_prefix_at_height_zero():
+    word = parse_word("UUD1D0", 2)
+    prefix = DyckPrefixWord(word.steps, 2)
+    assert isinstance(word, DyckPrefixWord)
+    assert word.height == 0
+    assert word != prefix
+    assert prefix != word
+    assert repr(word).startswith("LabeledDyckWord(")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: labeled_dyck_words(-1, 1),
+        lambda: doubly_labeled_dyck_words(-1, 1),
+        lambda: dyck_prefixes(2, 3, 1),
+        lambda: min_constrained_run_vectors(2, (1,)),
+    ],
+    ids=["labeled_dyck_words", "doubly_labeled_dyck_words", "dyck_prefixes",
+         "min_constrained_run_vectors"],
+)
+def test_enumerators_check_arguments_at_the_call(call):
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_prefix_validation():
