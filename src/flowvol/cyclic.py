@@ -74,8 +74,9 @@ def survivor_index(word: PrefixExtendedWord) -> int:
     """Ordinal (1-based, among the original U's) of the U left by repeatedly
     deleting cyclically adjacent (U, D) pairs from a word at height 0.
 
-    Every deletion order leaves the same U (``index_candidates`` follows
-    them all), so the leftmost deletable pair goes first.
+    Every deletion order leaves the same U, so the leftmost deletable pair
+    goes first; ``index_candidates`` follows every order, and the
+    ``CYC-CANDIDATES`` case checks that they agree.
     """
     if word.height != 0:
         raise ValueError(f"survivor index needs height 0; the word is at height {word.height}")
@@ -142,8 +143,12 @@ def project(word: ExtendedWord) -> tuple[LabeledDyckWord, int]:
 
 def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
     """Ordinals of U's that can survive cyclic deletion down to i+1 U's,
-    over every maximal deletion order."""
-    target = word.height + 1
+    over every maximal deletion order, for a word at height i.
+
+    The cyclic lemma says the set has exactly i+1 members.  The set is
+    returned unchecked, so that a caller that counts it, as the
+    ``CYC-CANDIDATES`` case does, reports a wrong count as a FAIL rather
+    than stopping on an exception."""
     memo: dict[tuple[tuple[int, int], ...], frozenset[int]] = {}
 
     def explore(items: tuple[tuple[int, int], ...]) -> frozenset[int]:
@@ -160,12 +165,7 @@ def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
         memo[items] = result
         return result
 
-    result = explore(_items(word))
-    if len(result) != target:
-        raise AssertionError(
-            f"expected {target} index candidates, found {len(result)} for {word}"
-        )
-    return result
+    return explore(_items(word))
 
 
 def extended_words(n: int, k: int) -> Iterator[ExtendedWord]:

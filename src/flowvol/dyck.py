@@ -13,7 +13,18 @@ draws on ``counts[pool[t]]``, so one shared count gives every word, the
 identity pool fixes the label-count vector and the pool (0, 1, ..., 1)
 fixes the number of 0-labels; a down-step may not take the height below
 ``floor``, which is 0 for Dyck words and below reach for extended words.
-One validator, ``_validate_steps``, checks every kind of word the same way.
+The walker runs in one generator frame with an explicit stack of the next
+option at each open node, so each word is handed to the caller once, not
+up through one generator per step, and no word length reaches the
+recursion limit.
+
+One validator, ``_validate_steps``, checks every kind of word the same way,
+in two passes.  The accept pass tests each down-step with one merged
+condition (label in range and no higher than the run allows, height above
+the floor) and returns when every step passes; only a rejected word gets
+the message pass, which walks the steps again to name the first bad step
+and its rule, range before height before order.  The extra channel of a
+doubly labeled word is checked the same way.
 
 A whole word is its prefix class at height 0: ``LabeledDyckWord`` is a
 ``DyckPrefixWord`` that adds only the balance check.  Every enumerated word
@@ -95,6 +106,14 @@ class DoublyLabeledDyckWord:
             raise ValueError(f"extra channel has {len(self.extra)} labels; expected {want}")
         k = self.base.k
         prev = 1  # every label is at least 1, so the first slot needs no order check
+        for e in self.extra:
+            if not prev <= e <= k:
+                break
+            prev = e
+        else:
+            return
+        # rejected: walk again, slot by slot, to name the slot and the rule
+        prev = 1
         for t, e in enumerate(self.extra, 1):
             if not prev <= e <= k:
                 # the range is checked before the order
@@ -114,6 +133,20 @@ def _validate_steps(steps: Sequence[int], k: int, floor: int = 0) -> None:
         raise ValueError("label bound k must be >= 1")
     height = 0
     top = k  # the highest label the next down-step may carry
+    for s in steps:
+        if s == UP:
+            height += 1
+            top = k
+        elif 0 <= s <= top and height > floor:
+            height -= 1
+            top = s
+        else:
+            break
+    else:
+        return
+    # rejected: walk again, slot by slot, to name the step and the rule
+    height = 0
+    top = k
     for t, s in enumerate(steps):
         if s == UP:
             height += 1
@@ -258,29 +291,56 @@ def _walk(
     Label t is available while ``counts[pool[t]]`` is positive, and the
     counts sum to the down-steps still to place; no down-step may take the
     height below ``floor``.  ``prefix`` and ``counts`` are worked in place
-    and restored."""
+    and restored.
 
-    def walk(ups: int, downs: int) -> Iterator:
+    The walk runs in this one frame.  ``todo`` holds, for each open node,
+    the next option to try there: its down labels from the top one to 0,
+    then UP, so the options count down one range and an option below UP
+    means the node is done."""
+    ups = prefix.count(UP)
+    downs = len(prefix) - ups
+    if ups == up_total and downs == down_total:
+        yield build(tuple(prefix), k)
+        return
+    if downs < down_total and ups - downs > floor:
+        todo = [prefix[-1] if prefix and prefix[-1] != UP else k]
+    else:
+        todo = [UP]
+    while todo:
+        s = todo[-1]
+        while s >= 0 and not counts[pool[s]]:
+            s -= 1
+        if s >= 0:
+            todo[-1] = s - 1
+            counts[pool[s]] -= 1
+            downs += 1
+        elif s == UP and ups < up_total:
+            todo[-1] = UP - 1
+            ups += 1
+        else:
+            # the node is done: take back the step that opened it
+            todo.pop()
+            if todo:
+                s = prefix.pop()
+                if s == UP:
+                    ups -= 1
+                else:
+                    counts[pool[s]] += 1
+                    downs -= 1
+            continue
+        prefix.append(s)
         if ups == up_total and downs == down_total:
             yield build(tuple(prefix), k)
-            return
-        if downs < down_total and ups - downs > floor:
-            top = prefix[-1] if prefix and prefix[-1] != UP else k
-            for label in range(top, -1, -1):
-                slot = pool[label]
-                if counts[slot]:
-                    prefix.append(label)
-                    counts[slot] -= 1
-                    yield from walk(ups, downs + 1)
-                    counts[slot] += 1
-                    prefix.pop()
-        if ups < up_total:
-            prefix.append(UP)
-            yield from walk(ups + 1, downs)
             prefix.pop()
-
-    ups = prefix.count(UP)
-    return walk(ups, len(prefix) - ups)
+            if s == UP:
+                ups -= 1
+            else:
+                counts[pool[s]] += 1
+                downs -= 1
+        elif downs < down_total and ups - downs > floor:
+            todo.append(k if s == UP else s)
+        else:
+            todo.append(UP)
 
 
 def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:

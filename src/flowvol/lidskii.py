@@ -46,43 +46,55 @@ class FitMismatchError(ArithmeticError):
 def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The compositions of total into `length` nonnegative parts whose every
     prefix sum is at least the matching prefix sum of t, in lexicographically
-    decreasing order, generated with prefix-sum pruning.  t entries may be
-    negative (shifted out-degree vectors can be).  A t of the wrong length
-    raises ValueError at the call, before anything is iterated."""
+    decreasing order, generated with prefix-sum pruning in one generator
+    frame, so any length walks without recursion.  t entries may be negative
+    (shifted out-degree vectors can be).  A t of the wrong length raises
+    ValueError at the call, before anything is iterated."""
     if len(t) != length:
         raise ValueError("t must have the given length")
     return _dominant(total, length, t)
 
 
 def _dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The walk behind ``iter_dominant``, in this one frame.  Part i counts
+    down from ``total`` minus the sum before it to its floor, ``max(0,
+    tsums[i] - sum before it)``; a part that starts below its floor is an
+    empty node.  The next-to-last part runs its whole range in one loop, as
+    the last part takes what is left."""
     if length == 0:
         if total == 0:
             yield ()
         return
-    tsums = []
-    acc = 0
-    for v in t:
-        acc += v
-        tsums.append(acc)
+    tsums = list(accumulate(t))
     if total < tsums[-1]:
         return
-    prefix: list[int] = []
-
-    def walk(idx: int, ssum: int) -> Iterator[tuple[int, ...]]:
-        if idx == length - 1:
-            last = total - ssum
-            if last >= 0:
-                prefix.append(last)
-                yield tuple(prefix)
-                prefix.pop()
+    if length == 1:
+        yield (total,)
+        return
+    last = length - 1
+    parts = [total] + [0] * last
+    before = [0] * length  # before[i]: the sum of parts[:i]
+    low = [max(0, tsums[0])] + [0] * last  # low[i]: the floor of parts[i]
+    i = 0
+    while True:
+        if i + 1 == last:
+            rest = total - before[i]
+            for v in range(parts[i], low[i] - 1, -1):
+                parts[i] = v
+                parts[last] = rest - v
+                yield tuple(parts)
+        elif parts[i] >= low[i]:
+            s = before[i] + parts[i]
+            i += 1
+            before[i] = s
+            parts[i] = total - s
+            low[i] = max(0, tsums[i] - s)
+            continue
+        # part i has run its range: the part before it takes its next value
+        if i == 0:
             return
-        lo = max(0, tsums[idx] - ssum)
-        for v in range(total - ssum, lo - 1, -1):
-            prefix.append(v)
-            yield from walk(idx + 1, ssum + v)
-            prefix.pop()
-
-    yield from walk(0, 0)
+        i -= 1
+        parts[i] -= 1
 
 
 def multinomial(total: int, parts: Sequence[int]) -> int:

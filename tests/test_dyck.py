@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from flowvol.closedforms import labeled_dyck_count
 from flowvol.dyck import (
+    UP,
     DoublyLabeledDyckWord,
     DyckPrefixWord,
     LabeledDyckWord,
@@ -18,6 +19,7 @@ from flowvol.dyck import (
     parse_word,
     tokenize_steps,
     weakly_increasing_tuples,
+    _validate_steps,
 )
 
 FIGURE_WORD = "UD0UUUUD5UD3D0UUUD4D2D0D0UD1D1"
@@ -113,6 +115,40 @@ def test_extra_channel_reports_the_first_bad_slot():
         with pytest.raises(ValueError) as info:
             DoublyLabeledDyckWord(base, extra)
         assert str(info.value) == want
+
+
+def _reference_step_error(steps, k, floor):
+    """The first error of a step tuple, step by step: range, then height,
+    then order."""
+    height, top = 0, k
+    for t, s in enumerate(steps, 1):
+        if s == UP:
+            height, top = height + 1, k
+            continue
+        if not 0 <= s <= k:
+            return f"step {t}: label {s} outside 0..{k}"
+        height -= 1
+        if height < floor:
+            return f"step {t}: prefix has more down-steps than up-steps"
+        if s > top:
+            return f"step {t}: down-run labels must weakly decrease"
+        top = s
+    return None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_step_messages_exhaustive(k):
+    alphabet = range(-2, k + 2)
+    for length in range(7):
+        for steps in product(alphabet, repeat=length):
+            for floor in (0, -length):
+                want = _reference_step_error(steps, k, floor)
+                if want is None:
+                    _validate_steps(steps, k, floor)
+                    continue
+                with pytest.raises(ValueError) as info:
+                    _validate_steps(steps, k, floor)
+                assert str(info.value) == want
 
 
 def test_eligible_positions_memo_is_invisible():

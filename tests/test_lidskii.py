@@ -57,6 +57,45 @@ def test_dominant_compositions_examples():
     assert list(iter_dominant(1, 2, (1, 1))) == []
 
 
+def _recursive_dominant(total, length, t):
+    """The walk of ``lidskii._dominant`` as one recursive generator per part:
+    its reference, order included."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    tsums = [sum(t[: i + 1]) for i in range(length)]
+    if total < tsums[-1]:
+        return
+    prefix = []
+
+    def walk(idx, ssum):
+        if idx == length - 1:
+            prefix.append(total - ssum)
+            yield tuple(prefix)
+            prefix.pop()
+            return
+        for v in range(total - ssum, max(0, tsums[idx] - ssum) - 1, -1):
+            prefix.append(v)
+            yield from walk(idx + 1, ssum + v)
+            prefix.pop()
+
+    yield from walk(0, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=7),
+    st.lists(st.integers(min_value=-2, max_value=2), max_size=6),
+)
+def test_dominant_matches_the_recursive_walk(total, t):
+    assert list(iter_dominant(total, len(t), t)) == list(_recursive_dominant(total, len(t), t))
+
+
+def test_deep_dominant_walk_needs_no_recursion():
+    assert sum(1 for _ in iter_dominant(1, 1500, (0,) * 1500)) == 1500
+
+
 def test_dominant_compositions_match_filterful_enumeration():
     for t in ((2, 0, 1, 0), (-1, 2, 0, 1), (0, 0, 0, 0)):
         got = list(iter_dominant(5, 4, t))

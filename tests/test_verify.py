@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from flowvol import dyck, lidskii, verify
+from flowvol import cyclic, dyck, lidskii, verify
 from flowvol.cli import main
 from flowvol.closedforms import multiset_coeff
 
@@ -151,6 +151,22 @@ def test_planted_constant_term_error_fails_the_suite(monkeypatch, capsys):
     monkeypatch.setattr(verify, "evaluate", lambda expr: original(expr) + 1)
     assert main(["verify", "--suite", "ps-ehrhart"]) == 1
     assert _failed_ids(capsys) == {"PS-EHRHART-CT"}
+
+
+def test_planted_candidate_miscount_is_a_fail_not_a_crash(monkeypatch):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    original = cyclic._without_pair
+
+    def planted(items, t):
+        # a wrapping deletion drops one item too many
+        if t + 1 == len(items):
+            return items[: t - 1]
+        return original(items, t)
+
+    monkeypatch.setattr(cyclic, "_without_pair", planted)
+    spec = verify.CaseSpec("CYC-CANDIDATES", (("n", 2), ("k", 1)))
+    _, record = verify._run_one((0, spec))
+    assert (record.status, record.expected, record.actual) == (verify.FAIL, "28", "25")
 
 
 @pytest.mark.parametrize(("family", "sizes"), [("ps", range(2, 6)), ("car", range(3, 6))])

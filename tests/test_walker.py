@@ -1,6 +1,8 @@
 """Every enumerator built on the shared word walker against a brute-force
 oracle: all step tuples over {U, D0..Dk} that the word's validating
-constructor accepts, in reverse-sorted order (the enumeration order)."""
+constructor accepts, in reverse-sorted order (the enumeration order).
+Past the oracle's reach, the walker is checked against a recursive walker
+kept here as the reference."""
 
 from functools import lru_cache
 from itertools import product
@@ -79,3 +81,87 @@ def test_extended_words_match_oracle(n, k):
     for i in range(n + 1):
         expected = _oracle(2 * n - i + 1, k, cyclic.PrefixExtendedWord, lambda w: w.n == n)
         assert list(cyclic.prefix_extended_words(n, i, k)) == expected
+
+
+def _recursive_walk(prefix, up_total, down_total, k, pool, counts, floor, build):
+    """The walker as one recursive generator per step: the reference for
+    ``dyck._walk``, which takes the same arguments."""
+
+    def walk(ups, downs):
+        if ups == up_total and downs == down_total:
+            yield build(tuple(prefix), k)
+            return
+        if downs < down_total and ups - downs > floor:
+            top = prefix[-1] if prefix and prefix[-1] != UP else k
+            for label in range(top, -1, -1):
+                slot = pool[label]
+                if counts[slot]:
+                    prefix.append(label)
+                    counts[slot] -= 1
+                    yield from walk(ups, downs + 1)
+                    counts[slot] += 1
+                    prefix.pop()
+        if ups < up_total:
+            prefix.append(UP)
+            yield from walk(ups + 1, downs)
+            prefix.pop()
+
+    ups = prefix.count(UP)
+    return walk(ups, len(prefix) - ups)
+
+
+def _both_walkers(monkeypatch, enumerate_words):
+    """The words of ``enumerate_words()`` from the walker and from the
+    recursive reference, as two lists."""
+    fast = list(enumerate_words())
+    with monkeypatch.context() as patch:
+        patch.setattr(dyck, "_walk", _recursive_walk)
+        slow = list(enumerate_words())
+    return fast, slow
+
+
+WIDE_GRID = [(n, k) for n in range(7) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("n,k", WIDE_GRID)
+def test_labeled_words_match_the_recursive_walker(monkeypatch, n, k):
+    fast, slow = _both_walkers(monkeypatch, lambda: dyck.labeled_dyck_words(n, k))
+    assert fast == slow
+    if n > 5:
+        return
+    for d in range(n + 1):
+        fast, slow = _both_walkers(monkeypatch, lambda: dyck.labeled_dyck_words(n, k, zeros=d))
+        assert fast == slow
+    for comp in _compositions(n, k + 1):
+        fast, slow = _both_walkers(
+            monkeypatch, lambda: dyck.labeled_dyck_words(n, k, label_counts=comp)
+        )
+        assert fast == slow
+
+
+@pytest.mark.parametrize("n,k", WIDE_GRID)
+def test_prefixes_match_the_recursive_walker(monkeypatch, n, k):
+    for i in range(n + 1):
+        fast, slow = _both_walkers(monkeypatch, lambda: dyck.dyck_prefixes(n, i, k))
+        assert fast == slow
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(5) for k in (1, 2, 3)])
+def test_extended_words_match_the_recursive_walker(monkeypatch, n, k):
+    fast, slow = _both_walkers(monkeypatch, lambda: cyclic.extended_words(n, k))
+    assert fast == slow
+    for i in range(n + 1):
+        fast, slow = _both_walkers(monkeypatch, lambda: cyclic.prefix_extended_words(n, i, k))
+        assert fast == slow
+
+
+def test_walker_restores_its_prefix_and_counts():
+    prefix, counts = [UP], [2, 1]
+    words = list(dyck._walk(prefix, 3, 3, 2, (0, 1, 1), counts, -6, lambda steps, k: steps))
+    assert words and prefix == [UP] and counts == [2, 1]
+
+
+def test_deep_walk_needs_no_recursion():
+    word = next(dyck.labeled_dyck_words(1200, 1))
+    assert len(word.steps) == 2400
+    assert word.steps == (UP, 1) * 1200
