@@ -36,7 +36,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Callable, Iterator, Sequence
+
+from .lidskii import iter_dominant
 
 UP = -1
 
@@ -346,25 +349,16 @@ def _walk(
 def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Run-length vectors (d_1..d_n) of Dyck words U D^{d_n} ... U D^{d_1}
     with d_i >= mins[i]; the word condition is dominance of (d_1..d_n) over
-    all-ones."""
+    all-ones.  Less mins, they are the compositions of n - sum(mins)
+    dominating 1 - mins, so ``iter_dominant`` walks them, in decreasing
+    lexicographic order and without recursion."""
     mins = tuple(int(a) for a in mins)
     if len(mins) != n or any(a < 0 for a in mins):
         raise ValueError("mins must be n nonnegative integers")
     if sum(mins) > n:
         raise ValueError("mins must sum to at most n")
-
-    def walk(prefix: list[int], total: int) -> Iterator[tuple[int, ...]]:
-        idx = len(prefix)
-        if idx == n:
-            if total == n:
-                yield tuple(prefix)
-            return
-        for d in range(n - total, max(mins[idx], idx + 1 - total) - 1, -1):
-            prefix.append(d)
-            yield from walk(prefix, total + d)
-            prefix.pop()
-
-    return walk([], 0)
+    excess = iter_dominant(n - sum(mins), n, tuple(1 - a for a in mins))
+    return (tuple(map(add, e, mins)) for e in excess)
 
 
 def min_constrained_count(n: int, mins: Sequence[int]) -> int:

@@ -17,7 +17,9 @@ each left group's coefficients times its R entries in C, so it costs one
 Python step per distinct left and one per distinct right instead of one
 per term.  The cut is the h that minimises that count, found from the
 terms alone.  Everything is exact integer arithmetic; polynomial fitting
-uses Fractions.
+uses Fractions, which ``fit_ehrhart_polynomial`` and ``_interpolate``
+import when they run, so importing this module does not load ``fractions``
+and ``decimal``.
 
 The sum is the volume only when every non-sink vertex has an out-edge
 (the shifted out-degree of such a vertex would be -1), so volume,
@@ -28,15 +30,17 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, groupby
 from math import comb, prod
 from operator import mul, sub, xor
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .graphs import DirectedStepGraph, NetFlow, augment, restrict
 from .kostant import count_flows
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class FitMismatchError(ArithmeticError):
@@ -309,6 +313,8 @@ def fit_ehrhart_polynomial(
     reproduce the value at k_max + 1, otherwise the degree bound was too
     small (or something is broken) and FitMismatchError is raised.
     """
+    from fractions import Fraction
+
     if k_max is None:
         k_max = graph.edge_count - graph.vertex_count + 2
     elif k_max < graph.vertex_count + 1:
@@ -326,6 +332,8 @@ def fit_ehrhart_polynomial(
 
 def _interpolate(samples: list[tuple[int, int]]) -> tuple[Fraction, ...]:
     # Newton divided differences, then expansion into monomial coefficients.
+    from fractions import Fraction
+
     xs = [Fraction(x) for x, _ in samples]
     divided = [Fraction(y) for _, y in samples]
     for level in range(1, len(samples)):

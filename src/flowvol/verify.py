@@ -42,28 +42,28 @@ stays outside the table.
 bucketed by label-count vector.  Its height-0 slice is the word census,
 one pass of ``dyck.labeled_dyck_words``, which ``LD-LABEL-COUNTS``,
 ``LD-ZEROS`` and ``DLD-WEIGHTED`` read too, the last weighing the words
-for the doubly labeled count.  The census sits in a small cache that
-``run_suite`` clears at entry, so each run, and each pool worker it forks,
-enumerates the words afresh.
+for the doubly labeled count.  The census cache keeps every census of one
+run, so no census is walked twice in it; ``run_suite`` clears the cache at
+entry, so each run, and each pool worker it forks, enumerates the words
+afresh.
 
 With ``FLOWVOL_WORKERS`` above 1, ``run_suite`` hands a process pool one
 task per (n, k) grid point (``_pool_tasks``): every case of the run with
 that n and k, a missing parameter counting as 0.  Tasks are dispatched in
 descending (n, k) order, so the heaviest grid points start first and the
 cheap ones fill the tail; the cases of a grid point that read a census
-share one worker, which builds each census once.  The pool starts no more processes than there
-are tasks, and the records are sorted back into case order.
+share one worker, which builds each census once.  The pool starts no more
+processes than there are tasks, and the records are sorted back into case
+order.  The pool module is imported only when a pool runs, and the CSV and
+JSON writers only when they render, so a sequential text run loads none of
+them.
 """
 
 from __future__ import annotations
 
-import json
-import io
-import csv
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -130,7 +130,7 @@ def _count(items) -> int:
     return sum(1 for _ in items)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _prefix_census(n: int, i: int, k: int) -> Counter[tuple[int, ...]]:
     """One walk over the prefixes of (n, k) that end at height i: the number
     of prefixes with each label-count vector.  The prefixes of height 0 are
@@ -525,6 +525,8 @@ def run_suite(suite: str, max_n: int | None = None, max_k: int | None = None) ->
     workers = worker_count()
     tasks = _pool_tasks(specs) if workers > 1 else []
     if len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = [pair for task in pool.map(_run_many, tasks) for pair in task]
     else:
@@ -561,6 +563,9 @@ def render_text(report: VerificationReport) -> str:
 
 
 def render_csv(report: VerificationReport) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["id", "params", "expected", "actual", "status"])
@@ -572,6 +577,8 @@ def render_csv(report: VerificationReport) -> str:
 
 
 def render_json(report: VerificationReport) -> str:
+    import json
+
     payload = {
         "suite": report.suite,
         "cases": [

@@ -297,6 +297,40 @@ def test_min_constrained_run_vectors_are_dyck():
     assert min_constrained_count(4, (0, 0, 0, 0)) == 14  # Catalan
 
 
+def _recursive_run_vectors(n, mins):
+    """The recursive walk that ``min_constrained_run_vectors`` replaced, kept
+    as the reference: d_i counts down from what is left to its floor."""
+
+    def walk(prefix, total):
+        idx = len(prefix)
+        if idx == n:
+            if total == n:
+                yield tuple(prefix)
+            return
+        for d in range(n - total, max(mins[idx], idx + 1 - total) - 1, -1):
+            prefix.append(d)
+            yield from walk(prefix, total + d)
+            prefix.pop()
+
+    return walk([], 0)
+
+
+def test_min_constrained_run_vectors_match_the_recursive_walk():
+    checked = 0
+    for n in range(8):
+        for mins in product(range(3), repeat=n):
+            if sum(mins) <= n:
+                expected = list(_recursive_run_vectors(n, mins))
+                assert list(min_constrained_run_vectors(n, mins)) == expected
+                checked += 1
+    assert checked == 1948
+
+
+def test_min_constrained_run_vectors_walk_without_recursion():
+    first = next(min_constrained_run_vectors(1200, (0,) * 1200))
+    assert first == (1200,) + (0,) * 1199
+
+
 def test_min_constrained_validation():
     with pytest.raises(ValueError):
         min_constrained_count(2, (2, 1))

@@ -1,5 +1,9 @@
+import concurrent.futures
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -240,6 +244,13 @@ def test_prefix_census_matches_filtered_prefixes():
             assert verify._prefix_census(n, 0, k) == verify._word_census(n, k)[0]
 
 
+def test_prefix_census_is_walked_once_per_run(monkeypatch):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    verify.run_suite("all", max_n=4, max_k=2)
+    info = verify._prefix_census.cache_info()
+    assert info.misses == info.currsize == 30
+
+
 @pytest.mark.parametrize("clean_run_first", [False, True])
 @pytest.mark.parametrize(
     "suite,max_n,failed",
@@ -373,8 +384,9 @@ def test_pool_tasks_partition_the_suite_by_grid_point():
 
 
 def _recording_pool(monkeypatch) -> list[tuple[int, list]]:
-    """Replace verify's ProcessPoolExecutor with one that runs the tasks in
-    this process; each pool made appends (max_workers, tasks) to the list."""
+    """Replace the ProcessPoolExecutor that run_suite imports when its pool
+    runs with one that runs the tasks in this process; each pool made
+    appends (max_workers, tasks) to the list."""
     pools: list[tuple[int, list]] = []
 
     class RecordingPool:
@@ -392,7 +404,7 @@ def _recording_pool(monkeypatch) -> list[tuple[int, list]]:
             pools.append((self.max_workers, tasks))
             return map(fn, tasks)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return pools
 
 
@@ -512,3 +524,32 @@ def test_planted_volume_flow_error_fails_exactly_its_cases(monkeypatch):
     failed = [case for case in report.cases if case.status == verify.FAIL]
     assert [case.ident for case in failed] == ["EQ6"] * 9
     assert sum(case.ident == "EQ6" for case in report.cases) == 9
+
+
+# Run in a fresh interpreter: the modules loaded before and after importing
+# flowvol.cli are compared, not checked for absence, as site may preload some.
+_IMPORT_PROBE = """
+import sys
+before = set(sys.modules)
+import flowvol.cli
+lazy = {"multiprocessing", "concurrent.futures", "json", "csv", "fractions", "decimal"}
+print(sorted(lazy & (set(sys.modules) - before)))
+import json, os
+from flowvol import verify
+os.environ["FLOWVOL_WORKERS"] = "2"
+report = verify.run_suite("ps-ehrhart", max_n=3, max_k=1)
+assert report.ok and "concurrent.futures" in sys.modules
+assert json.loads(verify.render_json(report))["summary"] == report.summary
+assert len(verify.render_csv(report).splitlines()) == len(report.cases) + 1
+"""
+
+
+def test_importing_the_cli_loads_no_pool_writer_or_fraction_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(verify.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("FLOWVOL_WORKERS", None)
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
