@@ -24,80 +24,90 @@ augmented graph, thus costs one number of state rather than one per
 target.  list_flows and iter_flows keep the literal per-edge enumeration
 as the oracle that the count is checked against.
 
-count_flows keeps a table of sweep steps for the graph it counted last
-(one graph, compared by identity or equality).  A step is keyed by the
-number of the cut state before vertex v and the supply of v, and holds the
-cut state after v with its number; a number names one (v, live channels,
-states) triple, so equal states reached from different supply prefixes
-share every later step.  The key is exact because the state after v
-depends only on the graph, the state before v and v's supply.  A first
-call on a graph keeps only the graph's setup, so a one-off count stores no
-steps; from the second consecutive call on, each call reads the steps it
-finds and stores the ones it sweeps.  Each distinct cut state is stored
-once, as its dict and its frozen key, and a step holds only references, so
-memory is bounded by the graph's distinct cut states; the table is freed
-when another graph is counted.  Entries are never changed once written
-and numbers come from one shared counter, so threads may share the table.
-volume_terms counts flows on one restriction for many supplies in a row,
-whose sweeps pass through few distinct states, so most steps are read.
+count_flows sets the graph up afresh on each call and keeps nothing
+between calls.  weighted_sweep runs the same sweep over all the supplies
+of a Lidskii sum at once: its nodes are (what is left of a total, cut
+state) pairs, and it returns the weighted transitions between them
+instead of a count.  lidskii builds its volume table from it.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice
+from itertools import islice
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .graphs import DirectedStepGraph, FlowAssignment, NetFlow
 
 
 def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
     """Number of nonnegative integer flows realizing the given net supplies."""
-    global _last
     _check(graph, flow)
     n = graph.vertex_count
-    net = flow.values
-    last = _last
-    # only a repeat call on the graph reads and fills its table of steps
-    keep = last is not None and (last[0] is graph or last[0] == graph)
-    if keep:
-        _, mult, feeders, deferred, numbers, steps = last
-    else:
-        mult, feeders, deferred = _setup(graph)
-        _last = (graph, mult, feeders, deferred, {}, {})
-        # a one-off count tracks no state numbers, so it reads no steps
-        steps = {}
+    mult, feeders, deferred = _setup(graph)
     # the cut state: one entry per live channel, where channel w > 0 is the
     # in-flow gathered so far by vertex w and channel -u the pending surplus
-    # of deferred vertex u; number 0 names the state before vertex 1
-    number, states, live = 0, {(): 1}, ()
-    for v, supply in enumerate(net[:-1], 1):
-        step = steps.get((number, supply))
-        if step is None:
-            live = list(live)
-            for u in feeders[v]:
-                states = _share(states, live, u, v, mult[u], n)
-            states = _settle(states, live, v, supply, mult[v], n, deferred[v])
-            live = tuple(live)
-            if keep:
-                key = (v, live, frozenset(states.items()))
-                step = numbers.setdefault(key, (next(_numbers), states, live))
-                steps.setdefault((number, supply), step)
-                number, states, live = step
-        else:
-            number, states, live = step
+    # of deferred vertex u
+    states, live = {(): 1}, []
+    for v, supply in enumerate(flow.values[:-1], 1):
+        for u in feeders[v]:
+            states = _share(states, live, u, v, mult[u], n)
+        states = _settle(states, live, v, supply, mult[v], n, deferred[v])
         if not states:
             return 0
     return states.get((), 0)
 
 
-# the graph counted last, its _setup, and its table: numbers maps the key
-# (v, live, frozenset(states.items())) of each cut state after a vertex v to
-# (number, states, live), and steps maps (number before v, supply of v) to
-# that entry for the state after v
-_last = None
-# state numbers, unique across threads; 0 is the state before vertex 1
-_numbers = count(1)
+def weighted_sweep(
+    graph: DirectedStepGraph, total: int, t: Sequence[int]
+) -> tuple[tuple[int, int, int, int], ...]:
+    """count_flows' sweep of graph over every supply s - t at once, where s
+    runs over the compositions of total into vertex_count parts and each
+    supply is weighted by the multinomial total! / prod(s_i!) and by the
+    monomial prod_i a_i^{s_i} in unknowns a_1..a_vertex_count.
+
+    A node is (R, cut state) before a vertex v, where R is what is left of
+    total, and node 0 is (total, empty) before vertex 1.  At v the node
+    branches on s_v in 0..R: the multinomial factors vertex by vertex as
+    prod_v comb(R_v, s_v), and v settles supply s_v - t_v, so a branch leads
+    to each cut state that settle reaches, with weight comb(R, s_v) times
+    the number of ways to reach it.  A supply whose prefix sum falls below
+    t's has a negative surplus somewhere, which settle drops.  After the
+    last tracked vertex no channel is live, so every node's cut state is
+    empty, and the last vertex takes the R that is left.
+
+    Each transition is (source node, target node, slot, weight), where slot
+    (v - 1) * (total + 1) + s stands for a_v^s; the nodes are numbered in
+    sweep order and the transitions are listed in it, so a transition's
+    source is reached by every transition into it before it.  The last
+    node, one past every other, is the end: summing weight * a^slot along
+    every path from node 0 to the end gives the weighted sum of the flow
+    counts.  A table with no path to the end is empty.
+    """
+    n = graph.vertex_count
+    width = total + 1
+    mult, feeders, deferred = _setup(graph)
+    nodes, size, live = {(total, ()): 0}, 1, []
+    transitions = []
+    for v in range(1, n):
+        layer, nodes = nodes, {}
+        for (left, state), source in layer.items():
+            states, shared = {state: 1}, list(live)
+            for u in feeders[v]:
+                states = _share(states, shared, u, v, mult[u], n)
+            for s in range(left + 1):
+                after = list(shared)
+                reached = _settle(states, after, v, s - t[v - 1], mult[v], n, deferred[v])
+                weight = comb(left, s)
+                for state_after, ways in reached.items():
+                    target = nodes.setdefault((left - s, state_after), size + len(nodes))
+                    transitions.append((source, target, (v - 1) * width + s, weight * ways))
+        size += len(nodes)
+        # the live channels depend on the graph alone, so every branch
+        # leaves the same ones
+        live = after
+    ends = [(source, size, (n - 1) * width + left, 1) for (left, _), source in nodes.items()]
+    return tuple(transitions + ends) if ends else ()
 
 
 def _setup(graph):

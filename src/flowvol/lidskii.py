@@ -1,25 +1,24 @@
 """Normalized flow-polytope volumes via dominance-constrained multinomial sums.
 
-The volume of the flow polytope is a sum over compositions s of m-n
-dominating the shifted out-degree vector, each weighted by a multinomial
-coefficient and a flow count on the restriction to the first n vertices:
-V(a) = sum_s coeff_s * prod_i a_i^{s_i}.  A monomial is named by its
-slots: slot i * width + e stands for a_i^e, with width = m-n+1, and only
-the nonzero exponents get a slot, so 0**0 costs nothing.
+The volume of the flow polytope is the Lidskii sum (Baldoni and Vergne,
+Transform. Groups 2008) over compositions s of m-n dominating the shifted
+out-degree vector t, each weighted by a multinomial coefficient and a flow
+count on the restriction to the first n vertices:
 
-Each graph's terms are stored split at one vertex h, the cut:
+    V(a) = sum_s (m-n)! / prod_i s_i! * prod_i a_i^{s_i} * K(s - t).
 
-    V(a) = sum_left (prod_{i<h} a_i^{s_i}) * sum_j coeff_j * R[right_j]
-
-where R holds the distinct right-hand monomials (prod_{i>=h} a_i^{s_i}).
-A query builds one flat table of every a_i^e, computes R once, and sums
-each left group's coefficients times its R entries in C, so it costs one
-Python step per distinct left and one per distinct right instead of one
-per term.  The cut is the h that minimises that count, found from the
-terms alone.  Everything is exact integer arithmetic; polynomial fitting
-uses Fractions, which ``fit_ehrhart_polynomial`` and ``_interpolate``
-import when they run, so importing this module does not load ``fractions``
-and ``decimal``.
+The multinomial factors vertex by vertex as prod_i comb(R_i, s_i), where
+R_i is what is left of m-n before vertex i, so the whole sum is one sweep
+of the restriction's cut states with R carried along (Baldoni, De Loera
+and Vergne, Found. Comput. Math. 2004): kostant.weighted_sweep gives its
+transitions, and volume_terms keeps them per graph.  A query builds one
+flat table of every a_i^e and makes one pass over the transitions; no
+composition is listed.  A kostant counter passed to volume instead sums
+the terms one composition at a time, one call of the counter each.
+Everything is exact integer arithmetic; polynomial fitting uses
+Fractions, which ``fit_ehrhart_polynomial`` and ``_interpolate`` import
+when they run, so importing this module does not load ``fractions`` and
+``decimal``.
 
 The sum is the volume only when every non-sink vertex has an out-edge
 (the shifted out-degree of such a vertex would be -1), so volume,
@@ -28,16 +27,14 @@ unit_flow_volume and ehrhart_like reject any other graph.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, groupby
+from itertools import accumulate
 from math import comb, prod
-from operator import mul, sub, xor
+from operator import sub
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .graphs import DirectedStepGraph, NetFlow, augment, restrict
-from .kostant import count_flows
+from .kostant import count_flows, weighted_sweep
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -112,132 +109,43 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class LidskiiTerms:
-    """The terms of one graph's Lidskii sum, split at a cut vertex h.
-
-    groups holds one (left, coeffs, indices) triple per distinct left part
-    s_0..s_{h-1}: left is that part's slots, and the group's terms are
-    coeffs[j] * a^left * a^rights[indices[j]], where rights holds the
-    distinct right parts s_h..s_{n-1} as slots.  Iterating yields each
-    term as (coeff, slots) in iter_dominant's order, and len() is the
-    number of terms.
-    """
-
-    groups: tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]
-    rights: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return sum(len(coeffs) for _, coeffs, _ in self.groups)
-
-    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
-        for left, coeffs, indices in self.groups:
-            for coeff, j in zip(coeffs, indices):
-                yield coeff, left + self.rights[j]
-
-
 @lru_cache(maxsize=32)
-def volume_terms(graph: DirectedStepGraph) -> LidskiiTerms:
-    """The Lidskii terms of the graph with count_flows as the flow counter,
-    split at the cut that minimises distinct lefts plus distinct rights.
-    There is one term per dominant composition s with a nonzero flow
-    count: its coeff is the multinomial times the flow count of the
-    restriction at s - t, and its slots hold i * (m-n+1) + s_i for each
-    i with s_i > 0, in increasing i.  The terms of the 32 most recently
-    used graphs stay cached; the result is immutable, so concurrent
+def volume_terms(graph: DirectedStepGraph) -> tuple[tuple[int, int, int, int], ...]:
+    """The graph's Lidskii sum as kostant.weighted_sweep's transitions on
+    the restriction, with slot i * (m-n+1) + e standing for a_i^e (i from
+    0).  The value at a = (1, 0, ..., 0) is the lone term s = (m-n, 0, ...,
+    0), one flow count, and a table that disagrees with count_flows there
+    raises ValueError instead of being returned.  The tables of the 32 most
+    recently used graphs stay cached; a table is immutable, so concurrent
     callers may share it."""
-    return _lidskii_terms(graph, count_flows)
+    n, total, t, inner = _lidskii_setup(graph)
+    table = weighted_sweep(inner, total, t)
+    lone = count_flows(inner, NetFlow((total - t[0],) + tuple(-x for x in t[1:])))
+    if _table_sum(table, (1,) + (0,) * (n - 1), total + 1) != lone:
+        raise ValueError("the volume table disagrees with count_flows at a = (1, 0, ..., 0)")
+    return table
 
 
-def _lidskii_terms(
-    graph: DirectedStepGraph, kostant: Callable[[DirectedStepGraph, NetFlow], int]
-) -> LidskiiTerms:
-    """The graph's Lidskii terms, with kostant as the flow counter of the
-    restriction, in the two-level form: built flat by _packed_terms, then
-    split once at the cut _best_cut derives from the terms alone."""
-    n, total, coeffs, keys = _packed_terms(graph, kostant)
-    return _split(n, total, coeffs, keys, _best_cut(n, total, keys))
-
-
-def _packed_terms(
-    graph: DirectedStepGraph, kostant: Callable[[DirectedStepGraph, NetFlow], int]
-) -> tuple[int, int, list[int], list[int]]:
-    """(n, m-n, coeffs, keys), one coeff and key per term in iter_dominant's
-    order.  A key packs s into one integer, (m-n).bit_length() bits per
-    part with s_0 in the lowest bits, so the left part s_0..s_{h-1} is
-    key & (1 << shift) - 1 and the right part is key >> shift, with
-    shift = h * bits.
-
-    Each composition costs one call of kostant; the rest of its work runs
-    in C: the supplies are map(sub, s, t) and the multinomial is
-    (m-n)! // prod(s_i!) from a table of factorials."""
+def _lidskii_setup(graph: DirectedStepGraph) -> tuple[int, int, tuple[int, ...], DirectedStepGraph]:
+    """(n, m-n, t, restriction to the first n vertices) of the Lidskii sum."""
     n = graph.vertex_count - 1
     if n < 1:
         raise ValueError("volume needs at least two vertices")
-    total = graph.edge_count - n
-    degrees = graph.out_degrees()
-    t = tuple(degrees[i] - 1 for i in range(n))
-    inner = restrict(graph, n)
-    place = [1 << i * total.bit_length() for i in range(n)]
-    facts = list(accumulate(range(1, total + 1), mul, initial=1))
-    coeffs, keys = [], []
-    for s in iter_dominant(total, n, t):
-        flows = kostant(inner, NetFlow(tuple(map(sub, s, t))))
-        if flows:
-            coeffs.append(facts[total] // prod(map(facts.__getitem__, s)) * flows)
-            keys.append(sum(map(mul, s, place)))
-    return n, total, coeffs, keys
+    t = tuple(d - 1 for d in graph.out_degrees()[:n])
+    return n, graph.edge_count - n, t, restrict(graph, n)
 
 
-def _best_cut(n: int, total: int, keys: list[int]) -> int:
-    """The cut h in 0..n with the fewest distinct lefts plus distinct
-    rights, the Python steps of a query; ties go to the smallest h.
-
-    Terms sharing s_0..s_{h-1} are consecutive in iter_dominant's order, so
-    the lefts at h number 1 plus the consecutive pairs whose first
-    differing vertex (the lowest set bit of their xor) is below h.  Sorted
-    as integers, the keys are in lexicographic order of the reversed s,
-    where terms sharing s_h..s_{n-1} are consecutive, so the rights number
-    1 plus the sorted pairs whose last differing vertex (the highest set
-    bit) is h or above.  That is one pass over the terms in each order.
-    """
-    bits = total.bit_length()
-    ordered = sorted(keys)
-    first = Counter(((x & -x).bit_length() - 1) // bits for x in map(xor, keys, keys[1:]))
-    last = Counter((x.bit_length() - 1) // bits for x in map(xor, ordered, ordered[1:]))
-
-    def steps(h: int) -> int:
-        lefts = sum(count for vertex, count in first.items() if vertex < h)
-        rights = sum(count for vertex, count in last.items() if vertex >= h)
-        return 2 + lefts + rights
-
-    return min(range(n + 1), key=steps)
-
-
-def _split(n: int, total: int, coeffs: list[int], keys: list[int], cut: int) -> LidskiiTerms:
-    """The packed terms split at the cut: the terms of one left part are
-    consecutive in iter_dominant's order and form one group, and each
-    distinct right part gets an index in order of first use."""
-    bits = total.bit_length()
-    shift = cut * bits
-    mask = (1 << shift) - 1
-    top = (1 << bits) - 1
-
-    def slots(key: int, vertices: range) -> tuple[int, ...]:
-        exponents = (key >> i * bits & top for i in vertices)
-        return tuple(i * (total + 1) + e for i, e in zip(vertices, exponents) if e)
-
-    index: dict[int, int] = {}
-    groups = []
-    for left, run in groupby(zip(coeffs, keys), lambda term: term[1] & mask):
-        run = tuple(run)
-        groups.append((
-            slots(left, range(cut)),
-            tuple(coeff for coeff, _ in run),
-            tuple(index.setdefault(key >> shift, len(index)) for _, key in run),
-        ))
-    rights = tuple(slots(right << shift, range(cut, n)) for right in index)
-    return LidskiiTerms(tuple(groups), rights)
+def _table_sum(table: tuple[tuple[int, int, int, int], ...], head: Sequence[int], width: int) -> int:
+    """The table's value at a = head: one pass over its transitions in
+    order, each adding its source's value times weight * a^slot to its
+    target's, with a^slot read from one flat table of every a_i^e."""
+    if not table:
+        return 0
+    powers = [a**e for a in head for e in range(width)]
+    values = [1] + [0] * table[-1][1]
+    for source, target, slot, weight in table:
+        values[target] += values[source] * weight * powers[slot]
+    return values[-1]
 
 
 def volume(
@@ -250,27 +158,24 @@ def volume(
 
     The Lidskii sum is the volume only while every non-sink supply is
     nonnegative and every non-sink vertex has an out-edge, so a negative
-    supply or a vertex without one raises ValueError.  kostant, when given,
-    replaces count_flows as the flow counter of the restriction, and the
-    terms are then computed afresh instead of read from volume_terms.
-    Each query builds one flat table a_i^e, i < n and e <= m-n, then the
-    value of every distinct right monomial, then per left group its
-    monomial times the group's coefficients dotted with its right values.
+    supply or a vertex without one raises ValueError.  By default the sum
+    is one pass over volume_terms' table.  kostant, when given, replaces
+    count_flows as the flow counter of the restriction, and the sum is then
+    taken term by term: for each dominant composition s, the multinomial
+    times prod_i a_i^{s_i} times one call of kostant at s - t.
     """
     if len(flow) != graph.vertex_count:
         raise ValueError("net flow length must match the graph")
-    values = flow.values
-    if any(a < 0 for a in values[:-1]):
+    head = flow.values[:-1]
+    if any(a < 0 for a in head):
         raise ValueError("volume needs nonnegative supplies on every non-sink vertex")
     _check_out_edges(graph.out_degrees(), "volume")
-    terms = volume_terms(graph) if kostant is None else _lidskii_terms(graph, kostant)
-    width = graph.edge_count - graph.vertex_count + 2
-    table = [a**e for a in values[:-1] for e in range(width)]
-    get = table.__getitem__
-    right = [prod(map(get, slots)) for slots in terms.rights].__getitem__
+    if kostant is None:
+        return _table_sum(volume_terms(graph), head, graph.edge_count - graph.vertex_count + 2)
+    n, total, t, inner = _lidskii_setup(graph)
     return sum(
-        prod(map(get, left)) * sum(map(mul, coeffs, map(right, indices)))
-        for left, coeffs, indices in terms.groups
+        multinomial(total, s) * prod(map(pow, head, s)) * kostant(inner, NetFlow(tuple(map(sub, s, t))))
+        for s in iter_dominant(total, n, t)
     )
 
 

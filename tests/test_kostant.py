@@ -1,7 +1,6 @@
 import sys
 import threading
 from itertools import product
-from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,11 +13,10 @@ from flowvol.graphs import (
     caracol_graph,
     parse_graph_spec,
     pitman_stanley_graph,
-    restrict,
 )
-from flowvol import kostant
+from flowvol import kostant, lidskii
 from flowvol.kostant import count_flows, iter_flows, list_flows
-from flowvol.lidskii import ehrhart_like, iter_dominant
+from flowvol.lidskii import ehrhart_like
 
 PATH3 = parse_graph_spec("3:1-2,2-3")
 TRIANGLE = parse_graph_spec("3:1-2,1-3,2-3")
@@ -222,50 +220,36 @@ def test_resumed_counts_equal_listing(case):
         assert count_flows(target, flow) == len(list_flows(graph, flow, 10**6))
 
 
-def test_only_a_repeat_call_stores_its_sweep():
-    # a one-off count keeps just the graph's setup; the second consecutive
-    # call on the graph stores its steps, and a third reads them all
-    graph = caracol_graph(5)
-    flow = NetFlow.with_sink((1,) + (0,) * (graph.vertex_count - 2))
-    expected = len(list_flows(graph, flow, 10**6))
-    assert count_flows(PATH3, NetFlow((1, -1, 0))) == 1
-    assert count_flows(graph, flow) == expected
-    assert kostant._last[0] is graph and kostant._last[4:] == ({}, {})
-    assert count_flows(graph, flow) == expected
-    numbers, steps = kostant._last[4:]
-    assert len(numbers) == len(steps) == graph.vertex_count - 1
-    stored = dict(steps)
-    assert count_flows(graph, flow) == expected
-    assert kostant._last[5] == stored
-
-
 def test_heads_reaching_one_cut_state_share_later_steps():
-    # on a path the cut state after v is the supply sum of 1..v, so heads
-    # that differ at vertices 1 and 2 but agree in that sum from vertex 2 on
-    # share every step after vertex 2
+    # on a path the cut state after v is the in-flow of v + 1, the sum of
+    # the supplies so far, so weighted_sweep's node (R, state) is fixed by
+    # what is left of the total: the 1716 compositions of 6 into 8 parts
+    # pass through 7 nodes per vertex and share every later transition
     path = parse_graph_spec("8:" + ",".join(f"{v}-{v + 1}" for v in range(1, 8)))
-    first = NetFlow.with_sink((2, 0, 1, 0, 3, 0, 1))
-    second = NetFlow.with_sink((0, 2, 1, 0, 3, 0, 1))
-    assert count_flows(path, first) == len(list_flows(path, first, 10)) == 1
-    assert count_flows(path, first) == 1
-    steps = kostant._last[5]
-    before = len(steps)
-    assert count_flows(path, second) == len(list_flows(path, second, 10)) == 1
-    assert kostant._last[5] is steps
-    assert len(steps) - before == 2 < path.vertex_count - 1
+    total = 6
+    table = kostant.weighted_sweep(path, total, (0,) * 8)
+    targets = {}
+    for _, target, slot, _ in table:
+        targets.setdefault(slot // (total + 1), set()).add(target)
+    assert [len(nodes) for _, nodes in sorted(targets.items())] == [7] * 7 + [1]
+    assert len(table) == 7 + 6 * 28 + 7
+    # every composition has one flow, so the sum is the multinomial theorem
+    for head in ((1,) * 8, tuple(range(1, 9)), (0, 2, 0, 0, 3, 0, 1, 0)):
+        assert lidskii._table_sum(table, head, total + 1) == sum(head) ** total
 
 
 def test_one_off_ehrhart_query_stores_no_steps():
+    # count_flows keeps nothing between calls: no module global changes
+    before = dict(vars(kostant))
     assert count_flows(PATH3, NetFlow((1, -1, 0))) == 1
     assert ehrhart_like(pitman_stanley_graph(60), 3) == ehrhart_ps_closed(60, 3)
-    assert kostant._last[4:] == ({}, {})
+    assert vars(kostant) == before
 
 
 def test_threads_share_the_remembered_sweep():
-    # the threads read the one remembered table of steps while the others
-    # keep replacing it, mostly on the same graph; a step changed under a
-    # reader, or read by a count that tracks no state numbers, gives a wrong
-    # count or an exception
+    # the threads count flows side by side, mostly on the same graph; any
+    # state count_flows shared between calls would give a wrong count or an
+    # exception
     graph = caracol_graph(6)
     cases = [(graph, NetFlow.with_sink(head)) for head in product(range(2), repeat=6)]
     cases.append((pitman_stanley_graph(4), NetFlow.with_sink((1, 1, 0, 1))))
@@ -294,44 +278,4 @@ def test_threads_share_the_remembered_sweep():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
-
-
-def test_threads_filling_one_table_give_each_state_its_own_number():
-    # the threads count the supplies of a Lidskii build on one restriction,
-    # each in its own order, so they add cut states to one fresh table side
-    # by side; two states given one number would share steps
-    graph = caracol_graph(9)
-    n = graph.vertex_count - 1
-    t = tuple(d - 1 for d in graph.out_degrees()[:n])
-    inner = restrict(graph, n)
-    flows = [NetFlow(tuple(map(sub, s, t))) for s in iter_dominant(graph.edge_count - n, n, t)]
-    expected = [count_flows(inner, flow) for flow in flows]
-    wrong = []
-
-    def work(offset):
-        for idx in range(len(flows)):
-            pick = (idx * 7 + offset * 101) % len(flows)
-            try:
-                count = count_flows(inner, flows[pick])
-            except Exception as exc:
-                count = exc
-            if count != expected[pick]:
-                wrong.append((pick, count))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(4):
-            kostant._last = None
-            threads = [threading.Thread(target=work, args=(offset,)) for offset in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-            numbers = kostant._last[4]
-            assert len({entry[0] for entry in numbers.values()}) == len(numbers)
-    finally:
-        sys.setswitchinterval(interval)
     assert wrong == []

@@ -5,7 +5,6 @@ from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from operator import getitem
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +20,7 @@ from flowvol.graphs import (
     restrict,
 )
 from flowvol.kostant import count_flows
-from flowvol import lidskii
+from flowvol import kostant, lidskii
 from flowvol.lidskii import (
     FitMismatchError,
     ehrhart_like,
@@ -145,47 +144,67 @@ def test_volume_rejects_negative_supplies():
 
 
 def test_volume_terms_match_the_constant_term_engine():
+    # the table's sum against the term-by-term sum with the constant-term
+    # engine as the flow counter, at flows with zeros
     graphs = [pitman_stanley_graph(n) for n in range(2, 8)]
     graphs += [caracol_graph(n) for n in range(3, 8)]
     for g in graphs:
-        assert lidskii.volume_terms(g) == lidskii._lidskii_terms(g, _ct_counter)
+        for head in _supplies_with_zeros(g.vertex_count - 1, repr(g))[:4]:
+            flow = NetFlow.with_sink(head)
+            assert volume(g, flow) == volume(g, flow, _ct_counter)
 
 
 FAMILY_GRAPHS = {f"ps{n}": pitman_stanley_graph(n) for n in range(2, 10)}
 FAMILY_GRAPHS.update({f"car{n}": caracol_graph(n) for n in range(3, 10)})
 
 
+def _paths(table):
+    """Every path of the table from node 0 to the end, as its transitions."""
+    outgoing = {}
+    for transition in table:
+        outgoing.setdefault(transition[0], []).append(transition)
+    end = table[-1][1]
+    stack = [(0, ())]
+    while stack:
+        node, path = stack.pop()
+        if node == end:
+            yield path
+        for transition in outgoing.get(node, ()):
+            stack.append((transition[1], path + (transition,)))
+
+
 @pytest.mark.parametrize("name", FAMILY_GRAPHS)
-def test_volume_terms_keep_only_nonzero_exponent_slots(name):
-    # slot i * width + e stands for a_i^e; decoding must give back each
-    # dominant composition once, in iter_dominant's decreasing order
+def test_volume_table_paths_spell_the_dominant_compositions(name):
+    # a path takes one slot a_i^{s_i} per vertex i in order, and the weights
+    # of the paths that spell s sum to its Lidskii coefficient, the
+    # multinomial times the flow count at s - t
     graph = FAMILY_GRAPHS[name]
     n = graph.vertex_count - 1
     total = graph.edge_count - n
-    width = total + 1
-    t = [d - 1 for d in graph.out_degrees()[:n]]
-    previous = None
-    for coeff, slots in lidskii.volume_terms(graph):
-        assert coeff > 0
-        s = [0] * n
-        vertex = -1
-        for slot in slots:
-            i, e = divmod(slot, width)
-            assert i > vertex and e >= 1
-            s[i] = e
-            vertex = i
-        assert vertex < n and sum(s) == total
-        assert all(sum(s[: j + 1]) >= sum(t[: j + 1]) for j in range(n))
-        assert previous is None or s < previous
-        previous = s
+    t = tuple(d - 1 for d in graph.out_degrees()[:n])
+    inner = restrict(graph, n)
+    coefficients = {}
+    for path in _paths(lidskii.volume_terms(graph)):
+        vertices, exponents = zip(*(divmod(slot, total + 1) for _, _, slot, _ in path))
+        assert vertices == tuple(range(n))
+        weight = prod(weight for _, _, _, weight in path)
+        coefficients[exponents] = coefficients.get(exponents, 0) + weight
+    expected = {}
+    for s in iter_dominant(total, n, t):
+        flows = count_flows(inner, NetFlow(tuple(a - b for a, b in zip(s, t))))
+        if flows:
+            expected[s] = multinomial(total, s) * flows
+    assert coefficients == expected
 
 
 @pytest.mark.parametrize(("graph", "count"), [
-    (pitman_stanley_graph(8), 429), (caracol_graph(8), 429),
-    (caracol_graph(9), 1430), (pitman_stanley_graph(10), 4862),
-], ids=["ps8", "car8", "car9", "ps10"])
+    (pitman_stanley_graph(7), 57), (pitman_stanley_graph(8), 85),
+    (pitman_stanley_graph(9), 121), (pitman_stanley_graph(10), 166),
+    (caracol_graph(7), 168), (caracol_graph(8), 316), (caracol_graph(9), 555),
+], ids=["ps7", "ps8", "ps9", "ps10", "car7", "car8", "car9"])
 def test_volume_term_counts(graph, count):
-    # the counts behind perfbench's lidskii.volume_terms.terms
+    # the counts behind perfbench's lidskii.volume_terms.terms: transitions,
+    # 1468 over volume-batch's seven graphs, where there were 8844 terms
     assert len(lidskii.volume_terms(graph)) == count
 
 
@@ -253,6 +272,50 @@ def test_volume_matches_the_dense_reference(case):
     # the constant-term counter needs a simple graph; count_flows passed as
     # kostant still builds the terms afresh instead of reading the cache
     assert volume(g, flow, count_flows) == expected
+
+
+@st.composite
+def larger_graph_and_supplies(draw):
+    """As graph_and_supplies, on at most 7 vertices with up to 5 more edges
+    and supplies 0..4."""
+    vertex_count = draw(st.integers(min_value=2, max_value=7))
+    edges = [(v, draw(st.integers(min_value=v + 1, max_value=vertex_count)))
+             for v in range(1, vertex_count)]
+    pairs = [(i, j) for i in range(1, vertex_count) for j in range(i + 1, vertex_count + 1)]
+    edges += draw(st.lists(st.sampled_from(pairs), max_size=5))
+    head = draw(st.lists(st.integers(min_value=0, max_value=4),
+                         min_size=vertex_count - 1, max_size=vertex_count - 1))
+    return DirectedStepGraph(vertex_count, tuple(edges)), head
+
+
+@settings(max_examples=150, deadline=None)
+@given(larger_graph_and_supplies())
+def test_the_table_matches_the_flat_sum(case):
+    # the default route, one pass over the table, against the term-by-term
+    # sum with count_flows and against the dense reference
+    g, head = case
+    flow = NetFlow.with_sink(head)
+    expected = volume(g, flow, count_flows)
+    assert volume(g, flow) == expected == _dense_volume(g, flow)
+
+
+@pytest.mark.parametrize("name", [f"{family}{n}" for family in ("ps", "car") for n in range(3, 11)])
+def test_the_table_matches_the_flat_sum_on_the_families(name):
+    # zeros in the supplies exercise 0**0 in the power table
+    n = int(name.lstrip("psacr"))
+    graph = pitman_stanley_graph(n) if name.startswith("ps") else caracol_graph(n)
+    heads = _supplies_with_zeros(n, name)
+    flows = [NetFlow.with_sink(head) for head in heads]
+    assert [volume(graph, flow) for flow in flows] == _flat_volumes(graph, heads)
+
+
+def _flat_volumes(graph, heads):
+    """volume(graph, ., count_flows) at each head, with the flow counts of
+    the terms computed once for all heads."""
+    n, total, t, inner = lidskii._lidskii_setup(graph)
+    terms = [(s, multinomial(total, s) * count_flows(inner, NetFlow(tuple(a - b for a, b in zip(s, t)))))
+             for s in iter_dominant(total, n, t)]
+    return [sum(coeff * prod(map(pow, head, s)) for s, coeff in terms) for head in heads]
 
 
 def _supplies_with_zeros(n, seed):
@@ -326,6 +389,36 @@ def test_volume_terms_cache_is_bounded():
     cached = lidskii.volume_terms(graph)
     lidskii.volume_terms.cache_clear()
     assert lidskii.volume_terms(graph) == cached
+
+
+def test_a_build_checks_the_table_against_one_flow_count(monkeypatch):
+    # perfbench reads the count_flows calls under volume_terms: one per build
+    calls = []
+
+    def counting(graph, flow):
+        calls.append(flow)
+        return count_flows(graph, flow)
+
+    monkeypatch.setattr(lidskii, "count_flows", counting)
+    lidskii.volume_terms.cache_clear()
+    graph = caracol_graph(6)
+    assert volume(graph, NetFlow.with_sink((1,) * 6)) == volume(graph, NetFlow.with_sink((1,) * 6), count_flows)
+    assert calls == [NetFlow((4, -1, -1, -1, -1, 0))]
+    lidskii.volume_terms.cache_clear()
+
+
+def test_a_planted_multinomial_error_fails_the_check(monkeypatch):
+    # comb(R + 1, s) for comb(R, s) in the sweep's weights: the table's
+    # value at (1, 0, ..., 0) becomes m - n + 1 times the flow count
+    monkeypatch.setattr(kostant, "_ways", lambda m, x: comb(m + x - 1, x) if x else 1)
+    monkeypatch.setattr(kostant, "comb", lambda r, s: comb(r + 1, s))
+    lidskii.volume_terms.cache_clear()
+    try:
+        for graph in (pitman_stanley_graph(5), caracol_graph(5)):
+            with pytest.raises(ValueError, match="disagrees with count_flows"):
+                volume(graph, NetFlow.with_sink((1,) * 5))
+    finally:
+        lidskii.volume_terms.cache_clear()
 
 
 def test_unit_flow_volumes():
@@ -433,22 +526,38 @@ def test_iter_dominant_checks_its_arguments_at_the_call():
 
 
 def _volumes_at_every_cut(graph, flows):
-    """For each cut h in 0..n, volume at each flow with the graph's terms
-    split at h in place of the cut volume_terms chooses."""
-    n, total, coeffs, keys = lidskii._packed_terms(graph, count_flows)
+    """For each vertex cut h in 0..n, volume at each flow as the sum over
+    the table's nodes at h of (paths from node 0 in) times (paths on to the
+    end): a transition whose slot is for vertex i ends at cut i + 1."""
+    n = graph.vertex_count - 1
+    width = graph.edge_count - n + 1
+    table = lidskii.volume_terms(graph)
+    end = table[-1][1]
+    cut_of = {0: 0}
+    for _, target, slot, _ in table:
+        assert cut_of.setdefault(target, slot // width + 1) == slot // width + 1
+    assert cut_of[end] == n
     out = []
-    for cut in range(n + 1):
-        split = lidskii._split(n, total, coeffs, keys, cut)
-        assert list(split) == list(lidskii.volume_terms(graph))
-        with mock.patch.object(lidskii, "volume_terms", lambda g: split):
-            out.append([volume(graph, flow) for flow in flows])
-    return out
+    for flow in flows:
+        powers = [a**e for a in flow.values[:-1] for e in range(width)]
+        inward = {0: 1}
+        for source, target, slot, weight in table:
+            inward[target] = inward.get(target, 0) + inward[source] * weight * powers[slot]
+        onward = {end: 1}
+        for source, target, slot, weight in reversed(table):
+            onward[source] = onward.get(source, 0) + weight * powers[slot] * onward.get(target, 0)
+        out.append([
+            sum(inward[node] * onward.get(node, 0) for node, cut in cut_of.items() if cut == h)
+            for h in range(n + 1)
+        ])
+    return [list(values) for values in zip(*out)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(graph_and_supplies())
 def test_the_split_is_exact_at_every_cut(case):
-    # the slot boundary i < h and the empty left (h = 0) or right (h = n)
+    # every path crosses each vertex cut once, so the empty cuts 0 and n
+    # and each one between split the sum exactly
     g, head = case
     flow = NetFlow.with_sink(head)
     expected = _dense_volume(g, flow)
@@ -464,40 +573,6 @@ def test_the_split_is_exact_at_every_cut_on_the_families(name):
     expected = [_dense_volume(graph, flow) for flow in flows]
     for values in _volumes_at_every_cut(graph, flows):
         assert values == expected
-
-
-def _compositions(graph):
-    """The compositions s behind volume_terms, decoded from its slots."""
-    n = graph.vertex_count - 1
-    width = graph.edge_count - n + 1
-    out = []
-    for _, slots in lidskii.volume_terms(graph):
-        s = [0] * n
-        for slot in slots:
-            i, e = divmod(slot, width)
-            s[i] = e
-        out.append(tuple(s))
-    return out
-
-
-@pytest.mark.parametrize(("graph", "lefts", "rights"), [
-    (pitman_stanley_graph(8), None, None), (pitman_stanley_graph(10), 429, 132),
-    (caracol_graph(8), None, None), (caracol_graph(9), 110, 132),
-], ids=["ps8", "ps10", "car8", "car9"])
-def test_the_chosen_cut_has_the_fewest_lefts_plus_rights(graph, lefts, rights):
-    # brute force over every cut with sets; a cut at 0 or n would cost one
-    # more than the term count
-    terms = lidskii.volume_terms(graph)
-    compositions = _compositions(graph)
-    n = graph.vertex_count - 1
-    costs = [len({s[:h] for s in compositions}) + len({s[h:] for s in compositions})
-             for h in range(n + 1)]
-    assert len(set(left for left, _, _ in terms.groups)) == len(terms.groups)
-    assert len(set(terms.rights)) == len(terms.rights)
-    assert len(terms.groups) + len(terms.rights) == min(costs)
-    assert min(costs) < len(terms) + 1
-    if lefts is not None:
-        assert (len(terms.groups), len(terms.rights)) == (lefts, rights)
 
 
 def test_concurrent_cold_queries_share_one_set_of_terms():
