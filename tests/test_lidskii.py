@@ -174,6 +174,34 @@ def _paths(table):
 
 
 @pytest.mark.parametrize("name", FAMILY_GRAPHS)
+def test_volume_terms_keep_only_nonzero_exponent_slots(name):
+    # slot i * width + e stands for a_i^e, and a_i^0 = 1; so a path's
+    # slots with e >= 1 are its whole term, and they must decode to a
+    # dominant composition of m-n, vertices rising, with a positive weight
+    graph = FAMILY_GRAPHS[name]
+    n = graph.vertex_count - 1
+    total = graph.edge_count - n
+    width = total + 1
+    t = [d - 1 for d in graph.out_degrees()[:n]]
+    terms = {}
+    for path in _paths(lidskii.volume_terms(graph)):
+        slots = tuple(slot for _, _, slot, _ in path if slot % width)
+        terms[slots] = terms.get(slots, 0) + prod(weight for _, _, _, weight in path)
+    assert terms
+    for slots, coeff in terms.items():
+        assert coeff > 0
+        s = [0] * n
+        vertex = -1
+        for slot in slots:
+            i, e = divmod(slot, width)
+            assert i > vertex and e >= 1
+            s[i] = e
+            vertex = i
+        assert vertex < n and sum(s) == total
+        assert all(sum(s[: j + 1]) >= sum(t[: j + 1]) for j in range(n))
+
+
+@pytest.mark.parametrize("name", FAMILY_GRAPHS)
 def test_volume_table_paths_spell_the_dominant_compositions(name):
     # a path takes one slot a_i^{s_i} per vertex i in order, and the weights
     # of the paths that spell s sum to its Lidskii coefficient, the
