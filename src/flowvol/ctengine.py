@@ -32,45 +32,49 @@ x_v, so such a term never reaches the constant term in x_v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
-from .graphs import DirectedStepGraph, NetFlow
+from ._record import Record
+from .graphs import DirectedStepGraph, NetFlow, _integers
 
 
 class SeriesUnstableError(ArithmeticError):
     """A cap below the derived one, or series values at cap and cap+1 that disagree."""
 
 
-@dataclass(frozen=True)
-class CTExpression:
+class CTExpression(Record):
     """Formal product: monomial * prod (1-x_i)^-k * prod (x_j-x_i)^-1."""
 
-    nvars: int
-    monomial: tuple[int, ...]
-    pow_factors: tuple[tuple[int, int], ...] = ()
-    diff_factors: tuple[tuple[int, int], ...] = ()
+    _fields = ("nvars", "monomial", "pow_factors", "diff_factors")
 
-    def __post_init__(self) -> None:
-        if self.nvars < 1:
+    def __init__(
+        self,
+        nvars: int,
+        monomial: tuple[int, ...],
+        pow_factors: tuple[tuple[int, int], ...] = (),
+        diff_factors: tuple[tuple[int, int], ...] = (),
+    ) -> None:
+        if nvars < 1:
             raise ValueError("nvars must be positive")
-        if len(self.monomial) != self.nvars:
+        if len(monomial) != nvars:
             raise ValueError("monomial length must equal nvars")
-        object.__setattr__(self, "monomial", tuple(int(e) for e in self.monomial))
-        for i, k in self.pow_factors:
-            if not 1 <= i <= self.nvars:
+        monomial = _integers(monomial, "monomial exponent")
+        for i, k in pow_factors:
+            if not 1 <= i <= nvars:
                 raise ValueError(f"pow factor index {i} out of range")
             if k < 1:
                 raise ValueError("pow factor multiplicity must be >= 1")
         seen = set()
-        for i, j in self.diff_factors:
-            if not (1 <= i < j <= self.nvars):
+        for i, j in diff_factors:
+            if not (1 <= i < j <= nvars):
                 raise ValueError(f"diff factor ({i},{j}) needs 1 <= i < j <= nvars")
             if (i, j) in seen:
                 raise ValueError(f"duplicate diff factor ({i},{j})")
             seen.add((i, j))
-        object.__setattr__(self, "pow_factors", tuple(sorted(self.pow_factors)))
-        object.__setattr__(self, "diff_factors", tuple(sorted(self.diff_factors)))
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "monomial", monomial)
+        object.__setattr__(self, "pow_factors", tuple(sorted(pow_factors)))
+        object.__setattr__(self, "diff_factors", tuple(sorted(diff_factors)))
 
 
 def evaluate(expr: CTExpression) -> int:

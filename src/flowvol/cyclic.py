@@ -17,22 +17,22 @@ height 0: ``ExtendedWord`` is a ``PrefixExtendedWord`` that ends at height
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from . import dyck
+from ._record import Record
 from .dyck import UP, LabeledDyckWord, tokenize_steps
 
 
-@dataclass(frozen=True)
-class PrefixExtendedWord:
+class PrefixExtendedWord(Record):
     """Word of length 2n-i+1 with n+1 up-steps, starting with U."""
 
-    letters: tuple[int, ...]
-    k: int
+    _fields = ("letters", "k")
 
-    def __post_init__(self) -> None:
-        _validate_letters(self.letters, self.k)
+    def __init__(self, letters: tuple[int, ...], k: int) -> None:
+        _validate_letters(letters, k)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "k", k)
         if self.height < 0:
             raise ValueError("prefix extended word has too many down-steps")
 
@@ -52,9 +52,11 @@ class PrefixExtendedWord:
 class ExtendedWord(PrefixExtendedWord):
     """Prefix extended word at height 0: length 2n+1 with n+1 up-steps."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, letters: tuple[int, ...], k: int) -> None:
         # not the prefix check: too many down-steps gets this message too
-        _validate_letters(self.letters, self.k)
+        _validate_letters(letters, k)
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "k", k)
         if self.height != 0:
             raise ValueError("extended word must have exactly one more U than down-steps")
 

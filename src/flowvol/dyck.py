@@ -34,25 +34,25 @@ its arguments at the call, before anything is iterated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import add
 from typing import Callable, Iterator, Sequence
 
+from ._record import Record
 from .lidskii import iter_dominant
 
 UP = -1
 
 
-@dataclass(frozen=True)
-class DyckPrefixWord:
+class DyckPrefixWord(Record):
     """Word prefix with the step conditions, ending at height i >= 0."""
 
-    steps: tuple[int, ...]
-    k: int
+    _fields = ("steps", "k")
 
-    def __post_init__(self) -> None:
-        _validate_steps(self.steps, self.k)
+    def __init__(self, steps: tuple[int, ...], k: int) -> None:
+        _validate_steps(steps, k)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "k", k)
 
     @property
     def n(self) -> int:
@@ -76,14 +76,16 @@ class DyckPrefixWord:
 class LabeledDyckWord(DyckPrefixWord):
     """Dyck prefix that ends at height 0: a balanced word."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, steps: tuple[int, ...], k: int) -> None:
         # the prefix check, called directly: every enumerated word pays for super()
-        _validate_steps(self.steps, self.k)
-        ups = self.steps.count(UP)
-        if 2 * ups != len(self.steps):
+        _validate_steps(steps, k)
+        ups = steps.count(UP)
+        if 2 * ups != len(steps):
             raise ValueError(
-                f"word has {ups} up-steps and {len(self.steps) - ups} down-steps; must balance"
+                f"word has {ups} up-steps and {len(steps) - ups} down-steps; must balance"
             )
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "k", k)
 
     @property
     def zero_label_count(self) -> int:
@@ -94,30 +96,30 @@ class LabeledDyckWord(DyckPrefixWord):
         return tuple(t for t, s in enumerate(self.steps) if s == UP or s == 0)
 
 
-@dataclass(frozen=True)
-class DoublyLabeledDyckWord:
+class DoublyLabeledDyckWord(Record):
     """Labeled word plus a weakly increasing channel over up-steps and 0-labeled down-steps."""
 
-    base: LabeledDyckWord
-    extra: tuple[int, ...]
+    _fields = ("base", "extra")
 
-    def __post_init__(self) -> None:
-        steps = self.base.steps
+    def __init__(self, base: LabeledDyckWord, extra: tuple[int, ...]) -> None:
+        steps = base.steps
         # the eligible positions, counted inline: this runs for every enumerated word
         want = len(steps) // 2 + steps.count(0)
-        if len(self.extra) != want:
-            raise ValueError(f"extra channel has {len(self.extra)} labels; expected {want}")
-        k = self.base.k
+        if len(extra) != want:
+            raise ValueError(f"extra channel has {len(extra)} labels; expected {want}")
+        k = base.k
         prev = 1  # every label is at least 1, so the first slot needs no order check
-        for e in self.extra:
+        for e in extra:
             if not prev <= e <= k:
                 break
             prev = e
         else:
+            object.__setattr__(self, "base", base)
+            object.__setattr__(self, "extra", extra)
             return
         # rejected: walk again, slot by slot, to name the slot and the rule
         prev = 1
-        for t, e in enumerate(self.extra, 1):
+        for t, e in enumerate(extra, 1):
             if not prev <= e <= k:
                 # the range is checked before the order
                 if not 1 <= e <= k:

@@ -2,17 +2,18 @@
 
 All graphs live on vertices 1..N with every edge pointing from a lower
 vertex to a higher one.  Multi-edges are repeated pairs in a canonically
-sorted edge list, so two graphs are equal iff their dataclass fields are.
+sorted edge list, so two graphs are equal iff their vertex counts and edge
+lists are.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class DirectedStepGraph:
+
+class DirectedStepGraph(Record):
     """Loopless multigraph on {1..vertex_count} with all edges oriented low -> high.
 
     The edge list is canonicalized (sorted lexicographically) on
@@ -21,16 +22,18 @@ class DirectedStepGraph:
     while restrictions used by the volume formula may be disconnected.
     """
 
-    vertex_count: int
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("vertex_count", "edges")
 
-    def __post_init__(self) -> None:
-        if self.vertex_count < 1:
+    def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> None:
+        if not isinstance(vertex_count, int):
+            raise ValueError(f"vertex_count must be an int, got {vertex_count!r}")
+        if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        for i, j in self.edges:
-            if not (1 <= i < j <= self.vertex_count):
-                raise ValueError(f"edge ({i},{j}) violates 1 <= i < j <= {self.vertex_count}")
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        for i, j in edges:
+            if not (1 <= i < j <= vertex_count):
+                raise ValueError(f"edge ({i},{j}) violates 1 <= i < j <= {vertex_count}")
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edges", tuple(sorted(edges)))
 
     @property
     def edge_count(self) -> int:
@@ -64,18 +67,17 @@ class DirectedStepGraph:
         return self
 
 
-@dataclass(frozen=True)
-class NetFlow:
+class NetFlow(Record):
     """Per-vertex net supplies, fully materialized (sink entry included), summing to zero."""
 
-    values: tuple[int, ...]
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        values = tuple(map(int, self.values))
-        object.__setattr__(self, "values", values)
+    def __init__(self, values: tuple[int, ...]) -> None:
+        values = _integers(values, "net flow entry")
         total = sum(values)
         if total != 0:
             raise ValueError(f"net flow entries must sum to zero, got {total}")
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -83,19 +85,19 @@ class NetFlow:
     @classmethod
     def with_sink(cls, entries: Iterable[int]) -> "NetFlow":
         """Append the negated sum as the final (sink) entry."""
-        head = tuple(int(v) for v in entries)
+        head = _integers(entries, "net flow entry")
         return cls(head + (-sum(head),))
 
 
-@dataclass(frozen=True)
-class FlowAssignment:
+class FlowAssignment(Record):
     """Nonnegative integers per edge, aligned with the canonical edge list."""
 
-    values: tuple[int, ...]
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.values):
+    def __init__(self, values: tuple[int, ...]) -> None:
+        if any(v < 0 for v in values):
             raise ValueError("flow values must be nonnegative")
+        object.__setattr__(self, "values", values)
 
     def satisfies(self, graph: DirectedStepGraph, flow: NetFlow) -> bool:
         if len(self.values) != graph.edge_count or len(flow) != graph.vertex_count:
@@ -197,6 +199,16 @@ def parse_net_flow(text: str, vertex_count: int) -> NetFlow:
     raise ValueError(
         f"flow has {len(entries)} entries; expected {vertex_count} or {vertex_count - 1}"
     )
+
+
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as a tuple of ints; ValueError names the first that is not integral."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if i != v)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return ints
 
 
 def _parse_int(text: str, what: str) -> int:

@@ -64,7 +64,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from math import prod
@@ -72,6 +71,7 @@ from typing import Callable
 
 from . import closedforms as cf
 from . import cyclic, dyck
+from ._record import Record
 from .ctengine import car_ct_expression, evaluate, ps_ct_expression
 from .graphs import NetFlow, caracol_graph, pitman_stanley_graph
 from .lidskii import ehrhart_like, iter_dominant, volume
@@ -86,26 +86,35 @@ KNOWN_DISCREPANCY_IDS = frozenset({"EQ3", "EQ5", "EQCONJ", "CAR-CT-INDEXING"})
 GRID = (1, 2, 3)
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    ident: str
-    params: tuple[tuple[str, object], ...]
+Params = tuple[tuple[str, object], ...]
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    ident: str
-    params: tuple[tuple[str, object], ...]
-    expected: str
-    actual: str
-    status: str
+class CaseSpec(Record):
+    _fields = ("ident", "params")
+
+    def __init__(self, ident: str, params: Params) -> None:
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "params", params)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    cases: tuple[CaseRecord, ...]
-    duration_ms: int
+class CaseRecord(Record):
+    _fields = ("ident", "params", "expected", "actual", "status")
+
+    def __init__(self, ident: str, params: Params, expected: str, actual: str, status: str) -> None:
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "actual", actual)
+        object.__setattr__(self, "status", status)
+
+
+class VerificationReport(Record):
+    _fields = ("suite", "cases", "duration_ms")
+
+    def __init__(self, suite: str, cases: tuple[CaseRecord, ...], duration_ms: int) -> None:
+        object.__setattr__(self, "suite", suite)
+        object.__setattr__(self, "cases", cases)
+        object.__setattr__(self, "duration_ms", duration_ms)
 
     @property
     def summary(self) -> dict[str, int]:
@@ -538,7 +547,7 @@ def run_suite(suite: str, max_n: int | None = None, max_k: int | None = None) ->
 
 # -- rendering -----------------------------------------------------------------------
 
-def _params_text(params: tuple[tuple[str, object], ...]) -> str:
+def _params_text(params: Params) -> str:
     return ";".join(f"{key}={_value_text(value)}" for key, value in params)
 
 

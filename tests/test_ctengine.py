@@ -101,6 +101,12 @@ def test_validation_errors():
         CTExpression(2, (0, 0), diff_factors=((1, 2), (1, 2)))
 
 
+def test_monomial_rejects_non_integral_exponents():
+    with pytest.raises(ValueError, match="monomial exponent 0.7 is not an integer"):
+        CTExpression(1, (0.7,))
+    assert CTExpression(1, (2.0,)).monomial == (2,)
+
+
 def test_chain_identity_small_grid():
     for n in range(2, 5):
         for k in range(1, 4):

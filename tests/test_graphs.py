@@ -113,6 +113,22 @@ def test_net_flow_sum_checked():
     assert NetFlow.with_sink((2, 3)).values == (2, 3, -5)
 
 
+def test_vertex_count_must_be_an_int():
+    with pytest.raises(ValueError, match="vertex_count must be an int, got 2.0"):
+        DirectedStepGraph(2.0, ((1, 2),))
+
+
+def test_net_flow_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="net flow entry 2.5 is not an integer"):
+        NetFlow((2.5, 1, 0, -3.5))
+    assert NetFlow((2.0, 1, 0, -3)).values == (2, 1, 0, -3)
+
+
+def test_net_flow_with_sink_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="net flow entry 0.5 is not an integer"):
+        NetFlow.with_sink((1, 0.5))
+
+
 def test_parse_family_specs_use_vertex_counts():
     assert parse_graph_spec("ps:4") == pitman_stanley_graph(3)
     assert parse_graph_spec("car:4") == caracol_graph(3)

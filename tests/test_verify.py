@@ -532,7 +532,8 @@ _IMPORT_PROBE = """
 import sys
 before = set(sys.modules)
 import flowvol.cli
-lazy = {"multiprocessing", "concurrent.futures", "json", "csv", "fractions", "decimal"}
+lazy = {"multiprocessing", "concurrent.futures", "json", "csv", "fractions", "decimal",
+        "dataclasses", "inspect"}
 print(sorted(lazy & (set(sys.modules) - before)))
 import json, os
 from flowvol import verify
