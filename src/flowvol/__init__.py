@@ -18,8 +18,8 @@ from .graphs import (
 )
 from .kostant import count_flows, list_flows
 from .lidskii import (
+    ehrhart_differences,
     ehrhart_like,
-    fit_ehrhart_polynomial,
     unit_flow_volume,
     volume,
 )
@@ -36,8 +36,8 @@ __all__ = [
     "restrict",
     "count_flows",
     "list_flows",
+    "ehrhart_differences",
     "ehrhart_like",
-    "fit_ehrhart_polynomial",
     "unit_flow_volume",
     "volume",
 ]

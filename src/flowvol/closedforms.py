@@ -1,8 +1,8 @@
 """Exact evaluators for the closed-form counting and volume identities.
 
 These are the comparison targets for the enumeration, flow-count, and
-constant-term computation paths.  Fractional prefactors are handled by
-asserting exact divisibility (the divisibility itself is part of what the
+constant-term computation paths.  Prefactors such as 1/(n+1) are handled
+by asserting exact divisibility (the divisibility itself is part of what the
 verification suites witness).  The printed right-hand sides are evaluated
 verbatim; homogeneity-corrected variants are provided separately so the
 verifier can report both.
@@ -13,8 +13,8 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .dyck import min_constrained_count
-from .graphs import NetFlow, caracol_graph, restrict
+from .dyck import _label_counts, min_constrained_count
+from .graphs import NetFlow, _integers, caracol_graph, restrict
 from .kostant import count_flows
 from .lidskii import iter_dominant, multinomial
 
@@ -99,11 +99,10 @@ def doubly_labeled_count_via_sum(n: int, k: int) -> int:
 
 def prefix_count_closed(n: int, i: int, k: int, label_counts: Sequence[int]) -> int:
     """Prefixes with n up-steps ending at height i with the given labels."""
-    counts = tuple(int(c) for c in label_counts)
+    n, i, k = _integers((n, i, k), "prefix_count_closed argument")
     if not 0 <= i <= n:
         raise ValueError("height i must lie in 0..n")
-    if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n - i:
-        raise ValueError("label_counts must be k+1 nonnegative entries summing to n-i")
+    counts = _label_counts(label_counts, k, n - i, "n-i")
     product = i + 1
     for c in counts:
         product *= multiset_coeff(n + 1, c)
@@ -137,7 +136,8 @@ def tail_multinomial_sum(n: int, k: int, m: int) -> int:
 def dominant_power_sum(values: Sequence[int], m: int) -> int:
     """Sum of multinomial(m; s) * prod values[i]^{s_i} over compositions s of
     m dominating all-ones."""
-    vals = tuple(int(v) for v in values)
+    vals = _integers(values, "power sum value")
+    (m,) = _integers((m,), "power sum exponent")
     if m < 0:
         raise ValueError("m must be nonnegative")
     k = len(vals)

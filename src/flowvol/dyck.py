@@ -39,6 +39,7 @@ from operator import add
 from typing import Callable, Iterator, Sequence
 
 from ._record import Record
+from .graphs import _integers
 from .lidskii import iter_dominant
 
 UP = -1
@@ -225,21 +226,31 @@ def labeled_dyck_words(
 ) -> Iterator[LabeledDyckWord]:
     """All words of half-length n, optionally filtered by the number of
     0-labels or by the full label-count vector (a_0..a_k)."""
+    n, k = _integers((n, k), "labeled_dyck_words argument")
     if n < 0 or k < 1:
         raise ValueError("labeled_dyck_words requires n >= 0 and k >= 1")
     if zeros is not None and label_counts is not None:
         raise ValueError("give at most one of zeros and label_counts")
     pool, counts = (0,) * (k + 1), [n]
     if label_counts is not None:
-        pool, counts = tuple(range(k + 1)), [int(c) for c in label_counts]
-        if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n:
-            raise ValueError("label_counts must be k+1 nonnegative entries summing to n")
+        pool, counts = tuple(range(k + 1)), _label_counts(label_counts, k, n, "n")
     if zeros is not None:
+        (zeros,) = _integers((zeros,), "zeros filter")
         if not 0 <= zeros <= n:
             raise ValueError("zeros filter must lie in 0..n")
         # 0-labels draw on the zeros owed, every other label on the rest
         pool, counts = (0,) + (1,) * k, [zeros, n - zeros]
     return _walk([], n, n, k, pool, counts, 0, LabeledDyckWord)
+
+
+def _label_counts(label_counts: Sequence[int], k: int, total: int, what: str) -> list[int]:
+    """The label counts (a_0..a_k) as a list of ints, or ValueError unless
+    they are k+1 nonnegative integers summing to total, which the message
+    calls ``what``."""
+    counts = list(_integers(label_counts, "label count"))
+    if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != total:
+        raise ValueError(f"label_counts must be k+1 nonnegative entries summing to {what}")
+    return counts
 
 
 def doubly_labeled_dyck_words(n: int, k: int) -> Iterator[DoublyLabeledDyckWord]:
@@ -265,6 +276,7 @@ def dyck_prefixes(
     """All prefixes with n up-steps ending at height i, in enumeration order,
     optionally filtered by the down-label multiplicities (a_0..a_k summing to
     n-i).  Without the filter one walk yields every such prefix once."""
+    n, i, k = _integers((n, i, k), "dyck_prefixes argument")
     if not 0 <= i <= n:
         raise ValueError("height i must lie in 0..n")
     if label_counts is None:
@@ -273,10 +285,7 @@ def dyck_prefixes(
             raise ValueError("label bound k must be >= 1")
         pool, counts = (0,) * (k + 1), [n - i]
     else:
-        counts = [int(c) for c in label_counts]
-        if len(counts) != k + 1 or any(c < 0 for c in counts) or sum(counts) != n - i:
-            raise ValueError("label_counts must be k+1 nonnegative entries summing to n-i")
-        pool = tuple(range(k + 1))
+        pool, counts = tuple(range(k + 1)), _label_counts(label_counts, k, n - i, "n-i")
     return _walk([], n, n - i, k, pool, counts, 0, DyckPrefixWord)
 
 
@@ -354,7 +363,8 @@ def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[i
     all-ones.  Less mins, they are the compositions of n - sum(mins)
     dominating 1 - mins, so ``iter_dominant`` walks them, in decreasing
     lexicographic order and without recursion."""
-    mins = tuple(int(a) for a in mins)
+    (n,) = _integers((n,), "min_constrained_run_vectors argument")
+    mins = _integers(mins, "mins entry")
     if len(mins) != n or any(a < 0 for a in mins):
         raise ValueError("mins must be n nonnegative integers")
     if sum(mins) > n:

@@ -15,10 +15,9 @@ transitions, and volume_terms keeps them per graph.  A query builds one
 flat table of every a_i^e and makes one pass over the transitions; no
 composition is listed.  A kostant counter passed to volume instead sums
 the terms one composition at a time, one call of the counter each.
-Everything is exact integer arithmetic; polynomial fitting uses
-Fractions, which ``fit_ehrhart_polynomial`` and ``_interpolate`` import
-when they run, so importing this module does not load ``fractions`` and
-``decimal``.
+Everything is exact integer arithmetic, the Ehrhart-like polynomial
+included: ehrhart_differences reads its Newton coefficients off the values
+at k = 1..d+1 by repeated subtraction, with no division.
 
 The sum is the volume only when every non-sink vertex has an out-edge
 (the shifted out-degree of such a vertex would be -1), so volume,
@@ -31,18 +30,10 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, prod
 from operator import sub
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import DirectedStepGraph, NetFlow, augment, restrict
 from .kostant import count_flows, weighted_sweep
-
-if TYPE_CHECKING:
-    from fractions import Fraction
-
-
-class FitMismatchError(ArithmeticError):
-    """Interpolated polynomial failed to reproduce the extrapolation sample."""
-
 
 def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The compositions of total into `length` nonnegative parts whose every
@@ -206,55 +197,27 @@ def ehrhart_like(graph: DirectedStepGraph, k: int) -> int:
     return unit_flow_volume(augment(graph, k))
 
 
-def fit_ehrhart_polynomial(
-    graph: DirectedStepGraph, k_max: int | None = None
-) -> tuple[Fraction, ...]:
-    """Interpolate the augmented-volume values at k = 1..k_max exactly and
-    return the coefficients (constant first, trailing zeros trimmed).
+def ehrhart_differences(graph: DirectedStepGraph) -> tuple[int, ...]:
+    """The Newton coefficients (Delta^j E(1)) for j = 0..d of E(k) =
+    ehrhart_like(graph, k), where d = E - V + 1 is the dimension of the flow
+    polytope and the degree of E, so that
 
-    By default k_max is d + 1, where d = E - V + 1 is the dimension of the
-    flow polytope and the degree of the polynomial: d + 1 samples pin it
-    down.  An explicit k_max must be at least V + 1.  The fit must
-    reproduce the value at k_max + 1, otherwise the degree bound was too
-    small (or something is broken) and FitMismatchError is raised.
+        E(k) = sum_j Delta^j E(1) * C(k - 1, j).
+
+    E is integer-valued, so its differences are integers: they come from the
+    values at k = 1..d+1 by repeated subtraction.  The last entry is d!
+    times the leading coefficient, which is the volume at net flow (1, ...,
+    1) (Benedetti et al., Trans. AMS 2019).  The form must reproduce the
+    value sampled at k = d+2, otherwise ValueError names both numbers.
     """
-    from fractions import Fraction
-
-    if k_max is None:
-        k_max = graph.edge_count - graph.vertex_count + 2
-    elif k_max < graph.vertex_count + 1:
-        raise ValueError("k_max must be at least vertex_count + 1 sample points")
-    samples = [(k, ehrhart_like(graph, k)) for k in range(1, k_max + 1)]
-    coeffs = _interpolate(samples)
-    check = sum(c * Fraction(k_max + 1) ** e for e, c in enumerate(coeffs))
-    sampled = ehrhart_like(graph, k_max + 1)
+    d = graph.edge_count - graph.vertex_count + 1
+    values = [ehrhart_like(graph, k) for k in range(1, d + 3)]
+    sampled = values.pop()
+    differences = []
+    while values:
+        differences.append(values[0])
+        values = list(map(sub, values[1:], values))
+    check = sum(c * comb(d + 1, j) for j, c in enumerate(differences))
     if check != sampled:
-        raise FitMismatchError(
-            f"fitted polynomial gives {check} at {k_max + 1}, sampled value is {sampled}"
-        )
-    return coeffs
-
-
-def _interpolate(samples: list[tuple[int, int]]) -> tuple[Fraction, ...]:
-    # Newton divided differences, then expansion into monomial coefficients.
-    from fractions import Fraction
-
-    xs = [Fraction(x) for x, _ in samples]
-    divided = [Fraction(y) for _, y in samples]
-    for level in range(1, len(samples)):
-        for idx in range(len(samples) - 1, level - 1, -1):
-            divided[idx] = (divided[idx] - divided[idx - 1]) / (xs[idx] - xs[idx - level])
-    coeffs = [Fraction(0)] * len(samples)
-    basis = [Fraction(1)] + [Fraction(0)] * (len(samples) - 1)  # prod (x - x_j) so far
-    for level, d in enumerate(divided):
-        for e in range(level + 1):
-            coeffs[e] += d * basis[e]
-        if level + 1 < len(samples):
-            new_basis = [Fraction(0)] * len(samples)
-            for e in range(level + 1):
-                new_basis[e + 1] += basis[e]
-                new_basis[e] -= xs[level] * basis[e]
-            basis = new_basis
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+        raise ValueError(f"the Newton form gives {check} at k = {d + 2}, sampled value is {sampled}")
+    return tuple(differences)

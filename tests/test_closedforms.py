@@ -88,6 +88,12 @@ def test_prefix_count_closed():
     assert cf.prefix_count_closed(3, 1, 2, (1, 1, 0)) == 8
 
 
+def test_prefix_count_closed_rejects_non_integer_label_counts():
+    # (2, 0) after truncation, which gave 5
+    with pytest.raises(ValueError, match="^label count 2.5 is not an integer$"):
+        cf.prefix_count_closed(3, 1, 1, (2.5, -0.5))
+
+
 def test_tail_coefficient():
     assert cf.tail_multinomial_closed(3, 2, 2) == 1
     assert cf.tail_multinomial_sum(3, 2, 2) == 1
@@ -133,6 +139,12 @@ def test_power_sum_triple():
 def test_power_sum_empty_and_zero():
     assert cf.dominant_power_sum((2, 3), 0) == 0
     assert cf.dominant_power_sum((), 0) == 1
+
+
+def test_power_sum_rejects_non_integer_values():
+    # the value at (1, 2) after truncation, which is 5
+    with pytest.raises(ValueError, match="^power sum value 1.5 is not an integer$"):
+        cf.dominant_power_sum((1.5, 2), 2)
 
 
 def test_fan_flow_sum():

@@ -277,6 +277,23 @@ def test_enumerators_check_arguments_at_the_call(call):
         call()
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: labeled_dyck_words(2, 1, zeros=0.5), "zeros filter 0.5"),
+        (lambda: labeled_dyck_words(2, 1, label_counts=(2.5, -0.5)), "label count 2.5"),
+        (lambda: labeled_dyck_words(2.5, 1), "labeled_dyck_words argument 2.5"),
+        (lambda: dyck_prefixes(3, 1.5, 1), "dyck_prefixes argument 1.5"),
+        (lambda: min_constrained_run_vectors(2, (1.5, 0.5)), "mins entry 1.5"),
+    ],
+    ids=["zeros", "label_counts", "labeled_dyck_words-n", "dyck_prefixes-i", "mins"],
+)
+def test_enumerators_reject_non_integers_at_the_call(call, message):
+    # each was truncated or ignored before, which gave a plausible count
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()
+
+
 def test_prefix_validation():
     with pytest.raises(ValueError):
         list(dyck_prefixes(2, 3, 1, (0, 0)))

@@ -1,7 +1,6 @@
 import random
 import sys
 import threading
-from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from operator import getitem
@@ -9,7 +8,7 @@ from operator import getitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowvol.closedforms import ehrhart_car_closed, ehrhart_ps_closed, ps_volume_closed
+from flowvol.closedforms import catalan, ehrhart_car_closed, ehrhart_ps_closed, ps_volume_closed
 from flowvol.ctengine import evaluate, flow_count_expression
 from flowvol.graphs import (
     DirectedStepGraph,
@@ -22,9 +21,8 @@ from flowvol.graphs import (
 from flowvol.kostant import count_flows
 from flowvol import kostant, lidskii
 from flowvol.lidskii import (
-    FitMismatchError,
+    ehrhart_differences,
     ehrhart_like,
-    fit_ehrhart_polynomial,
     iter_dominant,
     multinomial,
     unit_flow_volume,
@@ -491,60 +489,85 @@ def test_volume_agrees_with_closed_form_on_grid():
             assert volume(g, flow) == ps_volume_closed("EQ1", n, a, b, d=d)
 
 
+def _newton(differences, k):
+    return sum(c * comb(k - 1, j) for j, c in enumerate(differences))
+
+
 def test_fit_car4():
-    coeffs = fit_ehrhart_polynomial(caracol_graph(3), 6)
-    assert coeffs == (Fraction(0), Fraction(1, 2), Fraction(3, 2))
-    assert sum(c * Fraction(1) ** e for e, c in enumerate(coeffs)) == 2
+    # E(k) = (3k^2 + k) / 2, so E(1..3) = 2, 7, 15
+    assert ehrhart_differences(caracol_graph(3)) == (2, 5, 3)
 
 
 def test_fit_ps3_is_linear():
-    coeffs = fit_ehrhart_polynomial(pitman_stanley_graph(2), 5)
-    assert coeffs == (Fraction(0), Fraction(1))
+    assert ehrhart_differences(pitman_stanley_graph(2)) == (1, 1)
 
 
 def test_fit_reproduces_samples():
-    coeffs = fit_ehrhart_polynomial(pitman_stanley_graph(4), 7)
+    differences = ehrhart_differences(pitman_stanley_graph(4))
     for k in range(1, 8):
-        value = sum(c * Fraction(k) ** e for e, c in enumerate(coeffs))
-        assert value == ehrhart_like(pitman_stanley_graph(4), k)
-
-
-def test_fit_needs_enough_samples():
-    with pytest.raises(ValueError):
-        fit_ehrhart_polynomial(pitman_stanley_graph(3), 4)
+        assert _newton(differences, k) == ehrhart_like(pitman_stanley_graph(4), k)
 
 
 @pytest.mark.parametrize("graph", [caracol_graph(6), pitman_stanley_graph(5), caracol_graph(3)], ids=["car6", "ps5", "car3"])
 def test_fit_default_samples_follow_the_degree(graph):
-    # d = E - V + 1; for car 6 that is 8, past the V + 1 = 7 samples that
-    # test_fit_detects_insufficient_degree shows too few
+    # d + 1 differences pin the degree-d polynomial down, and the Newton
+    # form then holds past the d + 2 samples taken
     d = graph.edge_count - graph.vertex_count + 1
-    coeffs = fit_ehrhart_polynomial(graph)
-    assert len(coeffs) == d + 1
-    for k in range(1, d + 3):
-        assert sum(c * Fraction(k) ** e for e, c in enumerate(coeffs)) == ehrhart_like(graph, k)
+    differences = ehrhart_differences(graph)
+    assert len(differences) == d + 1
+    for k in range(1, d + 5):
+        assert _newton(differences, k) == ehrhart_like(graph, k)
 
 
-def test_fit_detects_insufficient_degree():
-    # the augmented-volume polynomial of this graph has degree 8, so eight
-    # sample points cannot pin it down and extrapolation must fail
-    with pytest.raises(FitMismatchError):
-        fit_ehrhart_polynomial(caracol_graph(6), 8)
+def test_fit_detects_insufficient_degree(monkeypatch):
+    # values of a polynomial of degree d + 1 cannot be read as one of
+    # degree d: the extrapolation to k = d + 2 must fail
+    graph = caracol_graph(6)
+    d = graph.edge_count - graph.vertex_count + 1
+    true_values = ehrhart_like
+    monkeypatch.setattr(lidskii, "ehrhart_like", lambda g, k: true_values(g, k) + comb(k - 1, d + 1))
+    with pytest.raises(ValueError, match="sampled value is"):
+        ehrhart_differences(graph)
 
 
 def test_fit_mismatch_samples_the_check_point_once(monkeypatch):
-    # a planted wrong value at k_max + 1 must be sampled once, for the check
-    # and the message alike
+    # a planted wrong value at k = d + 2 must be sampled once, for the check
+    # and the message alike, and each k = 1..d+2 once in all
     calls = []
 
     def planted(graph, k):
         calls.append(k)
-        return ehrhart_ps_closed(4, k) + (k == 7)
+        return ehrhart_ps_closed(4, k) + (k == 5)
 
     monkeypatch.setattr(lidskii, "ehrhart_like", planted)
-    with pytest.raises(FitMismatchError, match=f"sampled value is {ehrhart_ps_closed(4, 7) + 1}$"):
-        fit_ehrhart_polynomial(pitman_stanley_graph(4), 6)
-    assert calls == [1, 2, 3, 4, 5, 6, 7]
+    # ps 4 has d = 7 - 5 + 1 = 3
+    message = f"gives {ehrhart_ps_closed(4, 5)} at k = 5, sampled value is {ehrhart_ps_closed(4, 5) + 1}$"
+    with pytest.raises(ValueError, match=message):
+        ehrhart_differences(pitman_stanley_graph(4))
+    assert calls == [1, 2, 3, 4, 5]
+
+
+def _all_ones_volume(graph):
+    return volume(graph, NetFlow.with_sink((1,) * (graph.vertex_count - 1)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_the_leading_difference_is_the_all_ones_volume_ps(n):
+    graph = pitman_stanley_graph(n)
+    assert ehrhart_differences(graph)[-1] == _all_ones_volume(graph) == n ** (n - 2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_leading_difference_is_the_all_ones_volume_car(n):
+    graph = caracol_graph(n)
+    assert ehrhart_differences(graph)[-1] == _all_ones_volume(graph) == catalan(n - 2) * n ** (n - 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_supplies())
+def test_the_leading_difference_is_the_all_ones_volume(case):
+    graph, _ = case
+    assert ehrhart_differences(graph)[-1] == _all_ones_volume(graph)
 
 
 def test_iter_dominant_checks_its_arguments_at_the_call():
