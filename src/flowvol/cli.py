@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 1 when independent computation paths disagree or
-a verification suite records a FAIL, 2 on usage or parse errors, on series
-values that disagree at cap and cap+1, on a report file that cannot be
-written and when a computation runs out of memory or recursion depth.
+Exit codes: 0 on success, 1 when computation paths disagree or a suite
+records a FAIL, 2 on usage or parse errors, on series values that disagree
+at cap and cap+1, on an inexact closed-form division, on a report file that
+cannot be written and on running out of memory or recursion depth.
 
 ``volume``, ``ehrhart`` and ``ct`` each build a dict of named paths and hand
 it to ``_run_paths``: one path prints its value, and ``--method all``
@@ -18,13 +18,7 @@ import argparse
 import sys
 
 from . import cyclic, dyck, verify
-from .ctengine import (
-    SeriesUnstableError,
-    evaluate,
-    evaluate_series,
-    flow_count_expression,
-    parse_ct_expression,
-)
+from .ctengine import evaluate, evaluate_series, flow_count_expression, parse_ct_expression
 from .graphs import parse_graph_spec, parse_net_flow
 from .kostant import count_flows
 from .lidskii import ehrhart_like, volume
@@ -35,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, SeriesUnstableError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -19,7 +19,7 @@ from .kostant import count_flows
 from .lidskii import iter_dominant, multinomial
 
 
-class InexactDivisionError(ArithmeticError):
+class InexactDivisionError(ValueError, ArithmeticError):
     """A closed form with a fractional prefactor failed to divide exactly."""
 
 

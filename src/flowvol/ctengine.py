@@ -38,7 +38,7 @@ from ._record import Record
 from .graphs import DirectedStepGraph, NetFlow, _integers
 
 
-class SeriesUnstableError(ArithmeticError):
+class SeriesUnstableError(ValueError, ArithmeticError):
     """A cap below the derived one, or series values at cap and cap+1 that disagree."""
 
 

@@ -58,9 +58,17 @@ def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
     return states.get((), 0)
 
 
-def weighted_sweep(
-    graph: DirectedStepGraph, total: int, t: Sequence[int]
-) -> tuple[tuple[int, int, int, int], ...]:
+class SweepTable(tuple):
+    """weighted_sweep's transitions; slots[j] is slot j's (vertex index, exponent)."""
+
+    def __new__(cls, transitions, slots: tuple[tuple[int, int], ...] = ()):
+        # pickle and copy pass the transitions alone, then restore slots
+        table = super().__new__(cls, transitions)
+        table.slots = slots
+        return table
+
+
+def weighted_sweep(graph: DirectedStepGraph, total: int, t: Sequence[int]) -> SweepTable:
     """count_flows' sweep of graph over every supply s - t at once, where s
     runs over the compositions of total into vertex_count parts and each
     supply is weighted by the multinomial total! / prod(s_i!) and by the
@@ -76,18 +84,18 @@ def weighted_sweep(
     last tracked vertex no channel is live, so every node's cut state is
     empty, and the last vertex takes the R that is left.
 
-    Each transition is (source node, target node, slot, weight), where slot
-    (v - 1) * (total + 1) + s stands for a_v^s; the nodes are numbered in
-    sweep order and the transitions are listed in it, so a transition's
-    source is reached by every transition into it before it.  The last
-    node, one past every other, is the end: summing weight * a^slot along
-    every path from node 0 to the end gives the weighted sum of the flow
-    counts.  A table with no path to the end is empty.
+    Each transition is (source node, target node, slot, weight); slot j
+    stands for a_v^s where the table's slots[j] = (v - 1, s), numbered in
+    first use.  Nodes are numbered in sweep order and transitions listed in
+    it, so a transition's source is reached by every transition into it
+    before it.  The last node, one past every other, is the end: summing
+    weight * a^slot along every path from node 0 to the end gives the
+    weighted sum of the flow counts.  With no such path the table is empty.
     """
     n = graph.vertex_count
-    width = total + 1
     mult, feeders, deferred = _setup(graph)
     nodes, size, live = {(total, ()): 0}, 1, []
+    slots: dict[tuple[int, int], int] = {}
     transitions = []
     for v in range(1, n):
         layer, nodes = nodes, {}
@@ -99,15 +107,18 @@ def weighted_sweep(
                 after = list(shared)
                 reached = _settle(states, after, v, s - t[v - 1], mult[v], n, deferred[v])
                 weight = comb(left, s)
+                if reached:
+                    slot = slots.setdefault((v - 1, s), len(slots))
                 for state_after, ways in reached.items():
                     target = nodes.setdefault((left - s, state_after), size + len(nodes))
-                    transitions.append((source, target, (v - 1) * width + s, weight * ways))
+                    transitions.append((source, target, slot, weight * ways))
         size += len(nodes)
         # the live channels depend on the graph alone, so every branch
         # leaves the same ones
         live = after
-    ends = [(source, size, (n - 1) * width + left, 1) for (left, _), source in nodes.items()]
-    return tuple(transitions + ends) if ends else ()
+    ends = [(source, size, slots.setdefault((n - 1, left), len(slots)), 1)
+            for (left, _), source in nodes.items()]
+    return SweepTable(transitions + ends, tuple(slots)) if ends else SweepTable(())
 
 
 def _setup(graph):

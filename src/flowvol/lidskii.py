@@ -11,10 +11,10 @@ The multinomial factors vertex by vertex as prod_i comb(R_i, s_i), where
 R_i is what is left of m-n before vertex i, so the whole sum is one sweep
 of the restriction's cut states with R carried along (Baldoni, De Loera
 and Vergne, Found. Comput. Math. 2004): kostant.weighted_sweep gives its
-transitions, and volume_terms keeps them per graph.  A query builds one
-flat table of every a_i^e and makes one pass over the transitions; no
-composition is listed.  A kostant counter passed to volume instead sums
-the terms one composition at a time, one call of the counter each.
+transitions and the slots (i, e) they use, and volume_terms keeps them per
+graph.  A query computes a_i^e for those slots alone and makes one pass
+over the transitions; no composition is listed.  A kostant counter passed
+to volume instead sums the terms one composition at a time, one call each.
 Everything is exact integer arithmetic, the Ehrhart-like polynomial
 included: ehrhart_differences reads its Newton coefficients off the values
 at k = 1..d+1 by repeated subtraction, with no division.
@@ -33,7 +33,7 @@ from operator import sub
 from typing import Callable, Iterator, Sequence
 
 from .graphs import DirectedStepGraph, NetFlow, augment, restrict
-from .kostant import count_flows, weighted_sweep
+from .kostant import SweepTable, count_flows, weighted_sweep
 
 def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """The compositions of total into `length` nonnegative parts whose every
@@ -101,18 +101,19 @@ def multinomial(total: int, parts: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=32)
-def volume_terms(graph: DirectedStepGraph) -> tuple[tuple[int, int, int, int], ...]:
+def volume_terms(graph: DirectedStepGraph) -> SweepTable:
     """The graph's Lidskii sum as kostant.weighted_sweep's transitions on
-    the restriction, with slot i * (m-n+1) + e standing for a_i^e (i from
-    0).  The value at a = (1, 0, ..., 0) is the lone term s = (m-n, 0, ...,
-    0), one flow count, and a table that disagrees with count_flows there
-    raises ValueError instead of being returned.  The tables of the 32 most
+    the restriction, whose slots (i, e) stand for a_i^e (i from 0).  The
+    value at a = (1, 0, ..., 0) is the lone term s = (m-n, 0, ..., 0), one
+    flow count, and a table that disagrees with count_flows there raises
+    ValueError instead of being returned.  The tables of the 32 most
     recently used graphs stay cached; a table is immutable, so concurrent
     callers may share it."""
     n, total, t, inner = _lidskii_setup(graph)
     table = weighted_sweep(inner, total, t)
     lone = count_flows(inner, NetFlow((total - t[0],) + tuple(-x for x in t[1:])))
-    if _table_sum(table, (1,) + (0,) * (n - 1), total + 1) != lone:
+    head = (1,) + (0,) * (n - 1)
+    if _table_sum(table, [head[i] ** e for i, e in table.slots]) != lone:
         raise ValueError("the volume table disagrees with count_flows at a = (1, 0, ..., 0)")
     return table
 
@@ -126,17 +127,15 @@ def _lidskii_setup(graph: DirectedStepGraph) -> tuple[int, int, tuple[int, ...],
     return n, graph.edge_count - n, t, restrict(graph, n)
 
 
-def _table_sum(table: tuple[tuple[int, int, int, int], ...], head: Sequence[int], width: int) -> int:
-    """The table's value at a = head: one pass over its transitions in
-    order, each adding its source's value times weight * a^slot to its
-    target's, with a^slot read from one flat table of every a_i^e."""
+def _table_sum(table: SweepTable, values: Sequence[int]) -> int:
+    """The table's value with values[j] for slot j: in one pass in order,
+    each transition adds its source's sum * weight * values[slot] to its target's."""
     if not table:
         return 0
-    powers = [a**e for a in head for e in range(width)]
-    values = [1] + [0] * table[-1][1]
+    sums = [1] + [0] * table[-1][1]
     for source, target, slot, weight in table:
-        values[target] += values[source] * weight * powers[slot]
-    return values[-1]
+        sums[target] += sums[source] * weight * values[slot]
+    return sums[-1]
 
 
 def volume(
@@ -162,7 +161,8 @@ def volume(
         raise ValueError("volume needs nonnegative supplies on every non-sink vertex")
     _check_out_edges(graph.out_degrees(), "volume")
     if kostant is None:
-        return _table_sum(volume_terms(graph), head, graph.edge_count - graph.vertex_count + 2)
+        table = volume_terms(graph)
+        return _table_sum(table, [head[i] ** e for i, e in table.slots])
     n, total, t, inner = _lidskii_setup(graph)
     return sum(
         multinomial(total, s) * prod(map(pow, head, s)) * kostant(inner, NetFlow(tuple(map(sub, s, t))))

@@ -1,8 +1,9 @@
 import json
+from math import comb
 
 import pytest
 
-from flowvol import cli, dyck
+from flowvol import cli, closedforms as cf, dyck
 from flowvol.cli import main
 from flowvol.ctengine import SeriesUnstableError, flow_count_expression, format_ct_expression
 from flowvol.graphs import parse_graph_spec, parse_net_flow
@@ -282,6 +283,28 @@ def test_ct_unstable_series_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "ct", "--expr", "m:0; p:1^1", "--method", "series")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "stable cap" in err
+
+
+# the closed forms with 1 added to the numerator that exact_div divides
+def _inexact_ps(n, k):
+    return cf.exact_div(comb((k + 1) * n - 2, n) + 1, k * n - 1)
+
+
+def _inexact_car(n, k):
+    return cf.exact_div(comb(k * n + 2 * n - 5, n - 1) * comb(n + k - 3, k - 1) + 1, k * n + n - 3)
+
+
+@pytest.mark.parametrize(("target", "replacement", "argv", "message"), [
+    ("ehrhart_ps_closed", _inexact_ps,
+     ["ehrhart", "--family", "ps", "--n", "4", "--k", "2", "--method", "closed"], "211 is not divisible by 7"),
+    ("ehrhart_car_closed", _inexact_car,
+     ["verify", "--suite", "car-ehrhart", "--max-n", "4", "--max-k", "1"], "7 is not divisible by 3"),
+], ids=["ehrhart", "verify"])
+def test_inexact_closed_form_exits_2(capsys, monkeypatch, target, replacement, argv, message):
+    monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
+    monkeypatch.setattr(cf, target, replacement)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

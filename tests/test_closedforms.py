@@ -20,8 +20,10 @@ def test_catalan():
 
 def test_exact_div():
     assert cf.exact_div(12, 4) == 3
-    with pytest.raises(cf.InexactDivisionError):
-        cf.exact_div(7, 2)
+    # a ValueError for the CLI's exit 2, still caught as an ArithmeticError
+    for caught in (cf.InexactDivisionError, ValueError, ArithmeticError):
+        with pytest.raises(caught, match="7 is not divisible by 2"):
+            cf.exact_div(7, 2)
 
 
 def test_ehrhart_ps_closed():

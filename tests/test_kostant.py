@@ -230,12 +230,12 @@ def test_heads_reaching_one_cut_state_share_later_steps():
     table = kostant.weighted_sweep(path, total, (0,) * 8)
     targets = {}
     for _, target, slot, _ in table:
-        targets.setdefault(slot // (total + 1), set()).add(target)
+        targets.setdefault(table.slots[slot][0], set()).add(target)
     assert [len(nodes) for _, nodes in sorted(targets.items())] == [7] * 7 + [1]
     assert len(table) == 7 + 6 * 28 + 7
     # every composition has one flow, so the sum is the multinomial theorem
     for head in ((1,) * 8, tuple(range(1, 9)), (0, 2, 0, 0, 3, 0, 1, 0)):
-        assert lidskii._table_sum(table, head, total + 1) == sum(head) ** total
+        assert lidskii._table_sum(table, [head[i] ** e for i, e in table.slots]) == sum(head) ** total
 
 
 def test_one_off_ehrhart_query_stores_no_steps():

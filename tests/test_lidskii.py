@@ -1,8 +1,10 @@
+import copy
+import pickle
 import random
 import sys
 import threading
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import getitem
 
 import pytest
@@ -173,25 +175,24 @@ def _paths(table):
 
 @pytest.mark.parametrize("name", FAMILY_GRAPHS)
 def test_volume_terms_keep_only_nonzero_exponent_slots(name):
-    # slot i * width + e stands for a_i^e, and a_i^0 = 1; so a path's
-    # slots with e >= 1 are its whole term, and they must decode to a
-    # dominant composition of m-n, vertices rising, with a positive weight
+    # slot (i, e) stands for a_i^e, and a_i^0 = 1; so a path's slots with
+    # e >= 1 are its whole term, and they must name a dominant composition
+    # of m-n, vertices rising, with a positive weight
     graph = FAMILY_GRAPHS[name]
     n = graph.vertex_count - 1
     total = graph.edge_count - n
-    width = total + 1
     t = [d - 1 for d in graph.out_degrees()[:n]]
+    table = lidskii.volume_terms(graph)
     terms = {}
-    for path in _paths(lidskii.volume_terms(graph)):
-        slots = tuple(slot for _, _, slot, _ in path if slot % width)
-        terms[slots] = terms.get(slots, 0) + prod(weight for _, _, _, weight in path)
+    for path in _paths(table):
+        pairs = tuple(table.slots[slot] for _, _, slot, _ in path if table.slots[slot][1])
+        terms[pairs] = terms.get(pairs, 0) + prod(weight for _, _, _, weight in path)
     assert terms
-    for slots, coeff in terms.items():
+    for pairs, coeff in terms.items():
         assert coeff > 0
         s = [0] * n
         vertex = -1
-        for slot in slots:
-            i, e = divmod(slot, width)
+        for i, e in pairs:
             assert i > vertex and e >= 1
             s[i] = e
             vertex = i
@@ -209,9 +210,10 @@ def test_volume_table_paths_spell_the_dominant_compositions(name):
     total = graph.edge_count - n
     t = tuple(d - 1 for d in graph.out_degrees()[:n])
     inner = restrict(graph, n)
+    table = lidskii.volume_terms(graph)
     coefficients = {}
-    for path in _paths(lidskii.volume_terms(graph)):
-        vertices, exponents = zip(*(divmod(slot, total + 1) for _, _, slot, _ in path))
+    for path in _paths(table):
+        vertices, exponents = zip(*(table.slots[slot] for _, _, slot, _ in path))
         assert vertices == tuple(range(n))
         weight = prod(weight for _, _, _, weight in path)
         coefficients[exponents] = coefficients.get(exponents, 0) + weight
@@ -232,6 +234,33 @@ def test_volume_term_counts(graph, count):
     # the counts behind perfbench's lidskii.volume_terms.terms: transitions,
     # 1468 over volume-batch's seven graphs, where there were 8844 terms
     assert len(lidskii.volume_terms(graph)) == count
+
+
+@pytest.mark.parametrize(("graph", "count"), [
+    (pitman_stanley_graph(10), 54), (caracol_graph(9), 44),
+], ids=["ps10", "car9"])
+def test_volume_slot_counts(graph, count):
+    # a query raises one power per slot: 54 for ps 10, where the whole
+    # table of a_i^e for e up to m-n held 100
+    assert len(lidskii.volume_terms(graph).slots) == count
+
+
+@pytest.mark.parametrize("name", FAMILY_GRAPHS)
+def test_volume_slots_are_named_by_the_transitions_in_first_use_order(name):
+    # slot j first appears after slots 0..j-1, so every slot is used, and
+    # each names a vertex of the restriction and an exponent up to m-n
+    graph = FAMILY_GRAPHS[name]
+    n = graph.vertex_count - 1
+    table = lidskii.volume_terms(graph)
+    assert list(dict.fromkeys(slot for _, _, slot, _ in table)) == list(range(len(table.slots)))
+    assert len(set(table.slots)) == len(table.slots)
+    assert all(0 <= i < n and 0 <= e <= graph.edge_count - n for i, e in table.slots)
+
+
+def test_volume_table_copies_and_pickles_with_its_slots():
+    table = lidskii.volume_terms(caracol_graph(6))
+    for twin in (copy.copy(table), pickle.loads(pickle.dumps(table))):
+        assert (type(twin), twin, twin.slots) == (type(table), table, table.slots)
 
 
 def _ct_counter(graph, flow):
@@ -570,6 +599,50 @@ def test_the_leading_difference_is_the_all_ones_volume(case):
     assert ehrhart_differences(graph)[-1] == _all_ones_volume(graph)
 
 
+def _rising(x, e):
+    return prod(range(x, x + e))
+
+
+def _table_reading(graph, x):
+    """The volume table's sum with x(i, e) in slot (i, e), over (m-n)!,
+    which must divide it exactly."""
+    table = lidskii.volume_terms(graph)
+    total = graph.edge_count - graph.vertex_count + 1
+    quotient, remainder = divmod(lidskii._table_sum(table, [x(i, e) for i, e in table.slots]), factorial(total))
+    assert remainder == 0
+    return quotient
+
+
+def _check_ehrhart_reading(graph, k):
+    # rising factorials k(k+1)...(k+e-1) in place of a_i^e give E(k)
+    assert _table_reading(graph, lambda i, e: _rising(k, e)) == ehrhart_like(graph, k)
+
+
+def _check_lattice_reading(graph, head):
+    # (a_i - indeg_i + 1)(a_i - indeg_i + 2)..., e factors, give the flow count
+    indegrees = [sum(j == v for _, j in graph.edges) for v in range(1, graph.vertex_count)]
+    reading = _table_reading(graph, lambda i, e: _rising(head[i] - indegrees[i] + 1, e))
+    assert reading == count_flows(graph, NetFlow.with_sink(head))
+
+
+@pytest.mark.parametrize("name", [f"ps{n}" for n in range(2, 8)] + [f"car{n}" for n in range(3, 8)])
+def test_the_volume_table_reads_the_ehrhart_polynomial_and_the_flow_counts(name):
+    graph = FAMILY_GRAPHS[name]
+    for k in range(1, 4):
+        _check_ehrhart_reading(graph, k)
+    rng = random.Random(f"lattice-{name}")
+    for _ in range(10):
+        _check_lattice_reading(graph, [rng.randint(0, 4) for _ in range(graph.vertex_count - 1)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_and_supplies(), st.integers(min_value=1, max_value=3))
+def test_the_volume_table_readings_on_random_graphs(case, k):
+    graph, head = case
+    _check_ehrhart_reading(graph, k)
+    _check_lattice_reading(graph, head)
+
+
 def test_iter_dominant_checks_its_arguments_at_the_call():
     # nothing is iterated: the length check must not wait for next()
     with pytest.raises(ValueError, match="t must have the given length"):
@@ -581,16 +654,16 @@ def _volumes_at_every_cut(graph, flows):
     the table's nodes at h of (paths from node 0 in) times (paths on to the
     end): a transition whose slot is for vertex i ends at cut i + 1."""
     n = graph.vertex_count - 1
-    width = graph.edge_count - n + 1
     table = lidskii.volume_terms(graph)
     end = table[-1][1]
     cut_of = {0: 0}
     for _, target, slot, _ in table:
-        assert cut_of.setdefault(target, slot // width + 1) == slot // width + 1
+        cut = table.slots[slot][0] + 1
+        assert cut_of.setdefault(target, cut) == cut
     assert cut_of[end] == n
     out = []
     for flow in flows:
-        powers = [a**e for a in flow.values[:-1] for e in range(width)]
+        powers = [flow.values[i] ** e for i, e in table.slots]
         inward = {0: 1}
         for source, target, slot, weight in table:
             inward[target] = inward.get(target, 0) + inward[source] * weight * powers[slot]
