@@ -32,6 +32,7 @@ x_v, so such a term never reaches the constant term in x_v.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb
 
 from ._record import Record
@@ -59,6 +60,10 @@ class CTExpression(Record):
         if len(monomial) != nvars:
             raise ValueError("monomial length must equal nvars")
         monomial = _integers(monomial, "monomial exponent")
+        # only an entry that is not an int makes the sum not an int: convert only then
+        if type(sum(chain(*pow_factors, *diff_factors))) is not int:
+            pow_factors = tuple(_integers(factor, "pow factor entry") for factor in pow_factors)
+            diff_factors = tuple(_integers(factor, "diff factor entry") for factor in diff_factors)
         for i, k in pow_factors:
             if not 1 <= i <= nvars:
                 raise ValueError(f"pow factor index {i} out of range")

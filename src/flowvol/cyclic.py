@@ -22,6 +22,7 @@ from typing import Iterator
 from . import dyck
 from ._record import Record
 from .dyck import UP, LabeledDyckWord, tokenize_steps
+from .graphs import _integers
 
 
 class PrefixExtendedWord(Record):
@@ -30,11 +31,10 @@ class PrefixExtendedWord(Record):
     _fields = ("letters", "k")
 
     def __init__(self, letters: tuple[int, ...], k: int) -> None:
-        _validate_letters(letters, k)
+        if _validate_letters(letters, k) < 0:
+            raise ValueError("prefix extended word has too many down-steps")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "k", k)
-        if self.height < 0:
-            raise ValueError("prefix extended word has too many down-steps")
 
     @property
     def n(self) -> int:
@@ -54,18 +54,19 @@ class ExtendedWord(PrefixExtendedWord):
 
     def __init__(self, letters: tuple[int, ...], k: int) -> None:
         # not the prefix check: too many down-steps gets this message too
-        _validate_letters(letters, k)
+        if _validate_letters(letters, k) != 0:
+            raise ValueError("extended word must have exactly one more U than down-steps")
         object.__setattr__(self, "letters", letters)
         object.__setattr__(self, "k", k)
-        if self.height != 0:
-            raise ValueError("extended word must have exactly one more U than down-steps")
 
 
-def _validate_letters(letters: tuple[int, ...], k: int) -> None:
+def _validate_letters(letters: tuple[int, ...], k: int) -> int:
+    """The step conditions and the leading U; returns the height i in length 2n-i+1."""
     # an extended word has no height condition: its floor is out of reach
-    dyck._validate_steps(letters, k, -len(letters))
+    end = dyck._validate_steps(letters, k, -len(letters))
     if not letters or letters[0] != UP:
         raise ValueError("word must start with U")
+    return end - 1
 
 
 def parse_extended_word(text: str, k: int) -> ExtendedWord:
@@ -130,17 +131,19 @@ def project(word: ExtendedWord) -> tuple[LabeledDyckWord, int]:
     labeled Dyck word w'; returns (w', j).
 
     j is pinned by the survivor index (shifting increments it mod n+1, and
-    dropping the final U of a valid word needs index n+1).
+    dropping the final U of a valid word needs index n+1).  j shifts start
+    the word at its j-th U from the end, so the letters are rotated there
+    once, and only w' is built.
     """
     n = word.n
     j = (n + 1 - survivor_index(word)) % (n + 1)
-    rotated = word
-    for _ in range(j):
-        rotated = shift(rotated)
-    if rotated.letters[-1] != UP:
+    letters = word.letters
+    # for j = 0 this picks the first U, at position 0: the word starts with U
+    start = [t for t, s in enumerate(letters) if s == UP][-j]
+    rotated = letters[start:] + letters[:start]
+    if rotated[-1] != UP:
         raise ValueError("projection did not end with U; invalid extended word")
-    base = LabeledDyckWord(rotated.letters[:-1], word.k)
-    return base, j
+    return LabeledDyckWord(rotated[:-1], word.k), j
 
 
 def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
@@ -173,6 +176,7 @@ def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
 def extended_words(n: int, k: int) -> Iterator[ExtendedWord]:
     """All extended words of length 2n+1, same order convention as the
     Dyck enumerations (high labels first, U last)."""
+    n, k = _integers((n, k), "extended_words argument")
     if n < 0:
         raise ValueError("extended word size n must be >= 0")
     return _words(n, n, k, ExtendedWord)
@@ -180,6 +184,7 @@ def extended_words(n: int, k: int) -> Iterator[ExtendedWord]:
 
 def prefix_extended_words(n: int, i: int, k: int) -> Iterator[PrefixExtendedWord]:
     """All prefix extended words of length 2n-i+1 with n+1 up-steps."""
+    n, i, k = _integers((n, i, k), "prefix_extended_words argument")
     if not 0 <= i <= n:
         raise ValueError("height i must lie in 0..n")
     return _words(n, n - i, k, PrefixExtendedWord)

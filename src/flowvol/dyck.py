@@ -19,12 +19,12 @@ up through one generator per step, and no word length reaches the
 recursion limit.
 
 One validator, ``_validate_steps``, checks every kind of word the same way,
-in two passes.  The accept pass tests each down-step with one merged
-condition (label in range and no higher than the run allows, height above
-the floor) and returns when every step passes; only a rejected word gets
-the message pass, which walks the steps again to name the first bad step
-and its rule, range before height before order.  The extra channel of a
-doubly labeled word is checked the same way.
+in one pass.  It tests each down-step with one merged condition (label in
+range and no higher than the run allows, height above the floor) and
+returns the height where the steps end.  A rejected word is diagnosed from
+the state where the pass stopped: the failing step, its position and the
+height and run top before it name the rule, range before height before
+order.  The extra channel of a doubly labeled word is checked the same way.
 
 A whole word is its prefix class at height 0: ``LabeledDyckWord`` is a
 ``DyckPrefixWord`` that adds only the balance check.  Every enumerated word
@@ -79,9 +79,9 @@ class LabeledDyckWord(DyckPrefixWord):
 
     def __init__(self, steps: tuple[int, ...], k: int) -> None:
         # the prefix check, called directly: every enumerated word pays for super()
-        _validate_steps(steps, k)
-        ups = steps.count(UP)
-        if 2 * ups != len(steps):
+        height = _validate_steps(steps, k)
+        if height:
+            ups = (len(steps) + height) // 2
             raise ValueError(
                 f"word has {ups} up-steps and {len(steps) - ups} down-steps; must balance"
             )
@@ -110,7 +110,8 @@ class DoublyLabeledDyckWord(Record):
             raise ValueError(f"extra channel has {len(extra)} labels; expected {want}")
         k = base.k
         prev = 1  # every label is at least 1, so the first slot needs no order check
-        for e in extra:
+        rest = iter(extra)
+        for e in rest:
             if not prev <= e <= k:
                 break
             prev = e
@@ -118,28 +119,26 @@ class DoublyLabeledDyckWord(Record):
             object.__setattr__(self, "base", base)
             object.__setattr__(self, "extra", extra)
             return
-        # rejected: walk again, slot by slot, to name the slot and the rule
-        prev = 1
-        for t, e in enumerate(extra, 1):
-            if not prev <= e <= k:
-                # the range is checked before the order
-                if not 1 <= e <= k:
-                    raise ValueError(f"extra label {e} at slot {t} outside 1..{k}")
-                raise ValueError(f"extra labels must be weakly increasing; violated at slot {t}")
-            prev = e
+        # rejected at label e, with prev before it: the range is checked before the order
+        slot = len(extra) - sum(1 for _ in rest)
+        if not 1 <= e <= k:
+            raise ValueError(f"extra label {e} at slot {slot} outside 1..{k}")
+        raise ValueError(f"extra labels must be weakly increasing; violated at slot {slot}")
 
     def __str__(self) -> str:
         return format_word(self)
 
 
-def _validate_steps(steps: Sequence[int], k: int, floor: int = 0) -> None:
+def _validate_steps(steps: Sequence[int], k: int, floor: int = 0) -> int:
     """Label bound, label range, weak decrease within down-runs, and no
-    down-step below height ``floor`` (the height starts at 0)."""
+    down-step below height ``floor`` (the height starts at 0); returns the
+    height where the steps end."""
     if k < 1:
         raise ValueError("label bound k must be >= 1")
     height = 0
     top = k  # the highest label the next down-step may carry
-    for s in steps:
+    rest = iter(steps)
+    for s in rest:
         if s == UP:
             height += 1
             top = k
@@ -149,23 +148,14 @@ def _validate_steps(steps: Sequence[int], k: int, floor: int = 0) -> None:
         else:
             break
     else:
-        return
-    # rejected: walk again, slot by slot, to name the step and the rule
-    height = 0
-    top = k
-    for t, s in enumerate(steps):
-        if s == UP:
-            height += 1
-            top = k
-            continue
-        if not 0 <= s <= k:
-            raise ValueError(f"step {t + 1}: label {s} outside 0..{k}")
-        height -= 1
-        if height < floor:
-            raise ValueError(f"step {t + 1}: prefix has more down-steps than up-steps")
-        if s > top:
-            raise ValueError(f"step {t + 1}: down-run labels must weakly decrease")
-        top = s
+        return height
+    # rejected at down-step s, with the height and top before it
+    t = len(steps) - sum(1 for _ in rest)
+    if not 0 <= s <= k:
+        raise ValueError(f"step {t}: label {s} outside 0..{k}")
+    if height <= floor:
+        raise ValueError(f"step {t}: prefix has more down-steps than up-steps")
+    raise ValueError(f"step {t}: down-run labels must weakly decrease")
 
 
 def tokenize_steps(text: str) -> tuple[int, ...]:

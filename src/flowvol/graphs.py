@@ -18,8 +18,9 @@ class DirectedStepGraph(Record):
 
     The edge list is canonicalized (sorted lexicographically) on
     construction; multiplicity is repetition.  Connectivity is *not*
-    enforced here: family constructors and the CLI parser require it,
-    while restrictions used by the volume formula may be disconnected.
+    enforced here: the CLI parser requires it of explicit graphs, the
+    family graphs contain the path 1 -> ... -> N, and restrictions used by
+    the volume formula may be disconnected.
     """
 
     _fields = ("vertex_count", "edges")
@@ -115,7 +116,7 @@ def pitman_stanley_graph(n: int) -> DirectedStepGraph:
         raise ValueError("pitman_stanley_graph requires n >= 2")
     edges = [(i, i + 1) for i in range(1, n + 1)]
     edges += [(i, n + 1) for i in range(1, n)]
-    return DirectedStepGraph(n + 1, tuple(edges)).validate_connected()
+    return DirectedStepGraph(n + 1, tuple(edges))
 
 
 def caracol_graph(n: int) -> DirectedStepGraph:
@@ -125,7 +126,7 @@ def caracol_graph(n: int) -> DirectedStepGraph:
     edges = [(i, i + 1) for i in range(1, n + 1)]
     edges += [(1, i) for i in range(3, n + 1)]
     edges += [(i, n + 1) for i in range(2, n)]
-    return DirectedStepGraph(n + 1, tuple(edges)).validate_connected()
+    return DirectedStepGraph(n + 1, tuple(edges))
 
 
 def augment(graph: DirectedStepGraph, k: int) -> DirectedStepGraph:

@@ -32,7 +32,7 @@ from math import comb, prod
 from operator import sub
 from typing import Callable, Iterator, Sequence
 
-from .graphs import DirectedStepGraph, NetFlow, augment, restrict
+from .graphs import DirectedStepGraph, NetFlow, _integers, augment, restrict
 from .kostant import SweepTable, count_flows, weighted_sweep
 
 def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -40,8 +40,11 @@ def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[i
     prefix sum is at least the matching prefix sum of t, in lexicographically
     decreasing order, generated with prefix-sum pruning in one generator
     frame, so any length walks without recursion.  t entries may be negative
-    (shifted out-degree vectors can be).  A t of the wrong length raises
-    ValueError at the call, before anything is iterated."""
+    (shifted out-degree vectors can be).  A non-integral argument or a t of
+    the wrong length raises ValueError at the call, before anything is
+    iterated."""
+    total, length = _integers((total, length), "iter_dominant argument")
+    t = _integers(t, "iter_dominant t entry")
     if len(t) != length:
         raise ValueError("t must have the given length")
     return _dominant(total, length, t)

@@ -548,13 +548,7 @@ def run_suite(suite: str, max_n: int | None = None, max_k: int | None = None) ->
 # -- rendering -----------------------------------------------------------------------
 
 def _params_text(params: Params) -> str:
-    return ";".join(f"{key}={_value_text(value)}" for key, value in params)
-
-
-def _value_text(value: object) -> str:
-    if isinstance(value, (tuple, list)):
-        return ",".join(str(v) for v in value)
-    return str(value)
+    return ";".join(f"{key}={value}" for key, value in params)
 
 
 def render_text(report: VerificationReport) -> str:

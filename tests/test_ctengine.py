@@ -109,6 +109,17 @@ def test_monomial_rejects_non_integral_exponents():
     assert CTExpression(1, (2.0,)).monomial == (2,)
 
 
+def test_factors_reject_non_integral_entries():
+    with pytest.raises(ValueError, match="^pow factor entry 1.5 is not an integer$"):
+        CTExpression(2, (0, 0), ((1.5, 2),))
+    with pytest.raises(ValueError, match="^diff factor entry 2.5 is not an integer$"):
+        CTExpression(3, (0, 0, 0), diff_factors=((1, 2.5),))
+    # an integral float is read as its int, so every evaluator sees ints
+    expr = CTExpression(2, (0, 0), ((1.0, 2),), ((1.0, 2.0),))
+    assert expr == CTExpression(2, (0, 0), ((1, 2),), ((1, 2),))
+    assert evaluate(expr) == evaluate(CTExpression(2, (0, 0), ((1, 2),), ((1, 2),)))
+
+
 def test_chain_identity_small_grid():
     for n in range(2, 5):
         for k in range(1, 4):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from flowvol import cyclic
 from flowvol.closedforms import labeled_dyck_count, multiset_coeff
 from flowvol.cyclic import (
     ExtendedWord,
@@ -14,7 +15,7 @@ from flowvol.cyclic import (
     shift,
     survivor_index,
 )
-from flowvol.dyck import UP, labeled_dyck_words, tokenize_steps
+from flowvol.dyck import UP, LabeledDyckWord, labeled_dyck_words, tokenize_steps
 
 EXAMPLE = "UD1D0UUD1U"
 
@@ -91,6 +92,22 @@ def test_project_fibers_have_size_n_plus_one():
             assert sorted(s for s in source.letters if s != UP) == sorted(
                 s for s in base.steps if s != UP
             )
+
+
+def test_project_rotates_once_without_shift(monkeypatch):
+    # the reference: shift j times, each shift a validated word
+    expected = {}
+    for word in extended_words(3, 2):
+        j = (word.n + 1 - survivor_index(word)) % (word.n + 1)
+        rotated = word
+        for _ in range(j):
+            rotated = shift(rotated)
+        expected[word] = (LabeledDyckWord(rotated.letters[:-1], 2), j)
+    assert {j for _, j in expected.values()} == {0, 1, 2, 3}
+    calls = []
+    monkeypatch.setattr(cyclic, "shift", lambda word: calls.append(word) or shift(word))
+    assert {word: project(word) for word in expected} == expected
+    assert calls == []
 
 
 def test_extended_word_count_is_multiset_product():
@@ -174,8 +191,15 @@ def test_extended_words_count():
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: extended_words(-1, 1), lambda: prefix_extended_words(2, 3, 1)],
-    ids=["extended_words", "prefix_extended_words"],
+    [
+        lambda: extended_words(-1, 1),
+        lambda: prefix_extended_words(2, 3, 1),
+        lambda: extended_words(2.5, 1),
+        lambda: extended_words(2, 1.5),
+        lambda: prefix_extended_words(3, 1.5, 1),
+    ],
+    ids=["extended_words", "prefix_extended_words", "extended_words-n", "extended_words-k",
+         "prefix_extended_words-i"],
 )
 def test_enumerators_check_arguments_at_the_call(call):
     with pytest.raises(ValueError):

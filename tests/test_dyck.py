@@ -151,6 +151,46 @@ def test_step_messages_exhaustive(k):
                 assert str(info.value) == want
 
 
+class _CountingTuple(tuple):
+    """A tuple that counts the calls of its ``__iter__``."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize(
+    "steps",
+    [(UP, 2), (0,), (UP, 0, 0), (UP, UP, 0, 1)],
+    ids=["range", "height", "height-later", "order"],
+)
+def test_a_rejected_word_is_walked_once(steps):
+    steps = _CountingTuple(steps)
+    with pytest.raises(ValueError):
+        _validate_steps(steps, 1)
+    assert steps.iterations == 1
+
+
+def test_a_rejected_extra_channel_is_walked_once():
+    base = parse_word("UD0", 3)  # two slots
+    for extra in ((0, 1), (2, 1), (2, 4)):
+        extra = _CountingTuple(extra)
+        with pytest.raises(ValueError):
+            DoublyLabeledDyckWord(base, extra)
+        assert extra.iterations == 1
+
+
+def test_validate_steps_returns_the_end_height():
+    assert _validate_steps((UP, UP, 0), 1) == 1
+    assert _validate_steps((), 1) == 0
+    assert _validate_steps((0,), 1, -1) == -1
+    for i in range(4):
+        for prefix in dyck_prefixes(4, i, 2):
+            assert _validate_steps(prefix.steps, 2) == prefix.height == i
+
+
 def test_eligible_positions_memo_is_invisible():
     warm = parse_word(FIGURE_WORD, 5)
     cold = parse_word(FIGURE_WORD, 5)

@@ -649,6 +649,21 @@ def test_iter_dominant_checks_its_arguments_at_the_call():
         iter_dominant(3, 2, (1,))
 
 
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        ((2.5, 2, (0, 0)), "iter_dominant argument 2.5"),
+        ((2, 1.5, (0,)), "iter_dominant argument 1.5"),
+        ((2, 2, (0.5, 0)), "iter_dominant t entry 0.5"),
+    ],
+    ids=["total", "length", "t"],
+)
+def test_iter_dominant_rejects_non_integers_at_the_call(args, message):
+    # nothing is iterated: a float would otherwise fail only inside the walk
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        iter_dominant(*args)
+
+
 def _volumes_at_every_cut(graph, flows):
     """For each vertex cut h in 0..n, volume at each flow as the sum over
     the table's nodes at h of (paths from node 0 in) times (paths on to the
