@@ -113,6 +113,7 @@ def prefix_count_closed(n: int, i: int, k: int, label_counts: Sequence[int]) -> 
 
 def tail_multinomial_closed(n: int, k: int, m: int) -> int:
     """Closed count of the dominance-constrained tail compositions."""
+    n, k, m = _integers((n, k, m), "tail_multinomial_closed argument")
     if not 1 <= k <= m <= n:
         raise ValueError("tail_multinomial_closed requires 1 <= k <= m <= n")
     if m == n:
@@ -123,6 +124,7 @@ def tail_multinomial_closed(n: int, k: int, m: int) -> int:
 def tail_multinomial_sum(n: int, k: int, m: int) -> int:
     """Defining sum: multinomials of compositions (s_{k+1}..s_n) of n-m with
     (m, s_{k+1}, ..., s_n) dominating (k, 1, ..., 1)."""
+    n, k, m = _integers((n, k, m), "tail_multinomial_sum argument")
     if not 1 <= k <= m <= n:
         raise ValueError("tail_multinomial_sum requires 1 <= k <= m <= n")
     length = n - k
@@ -154,6 +156,7 @@ def dominant_power_sum(values: Sequence[int], m: int) -> int:
 
 def dominant_power_sum_pair(m: int, a: int, b: int) -> int:
     """Closed form of the two-value power sum, valid for m >= 2."""
+    m, a, b = _integers((m, a, b), "dominant_power_sum_pair argument")
     if m < 2:
         raise ValueError("the closed pair form needs m >= 2")
     return (a + b) ** m - b**m
@@ -161,6 +164,7 @@ def dominant_power_sum_pair(m: int, a: int, b: int) -> int:
 
 def dominant_power_sum_triple(m: int, a: int, b: int, c: int) -> int:
     """Closed form of the three-value power sum, valid for m >= 3."""
+    m, a, b, c = _integers((m, a, b, c), "dominant_power_sum_triple argument")
     if m < 3:
         raise ValueError("the closed triple form needs m >= 3")
     return (a + b + c) ** m - (b + c) ** m - m * a * c ** (m - 1)

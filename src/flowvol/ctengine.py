@@ -55,6 +55,8 @@ class CTExpression(Record):
         pow_factors: tuple[tuple[int, int], ...] = (),
         diff_factors: tuple[tuple[int, int], ...] = (),
     ) -> None:
+        if type(nvars) is not int:
+            (nvars,) = _integers((nvars,), "nvars")
         if nvars < 1:
             raise ValueError("nvars must be positive")
         if len(monomial) != nvars:
@@ -230,6 +232,8 @@ def _multiset(n: int, m: int) -> int:
 
 def ps_ct_expression(n: int, k: int) -> CTExpression:
     """Chain expression: prod (1-x_i)^-k * prod (x_{i+1}-x_i)^-1."""
+    if type(n) is not int or type(k) is not int:
+        n, k = _integers((n, k), "ps_ct_expression argument")
     if n < 2 or k < 1:
         raise ValueError("ps_ct_expression requires n >= 2 and k >= 1")
     return CTExpression(
@@ -243,6 +247,8 @@ def ps_ct_expression(n: int, k: int) -> CTExpression:
 def car_ct_expression(n: int, k: int) -> CTExpression:
     """Fan-plus-chain expression: x_1^-1 prod (1-x_i)^-k
     * prod (x_n-x_i)^-1 * prod (x_{i+1}-x_i)^-1 (chain stops at n-1)."""
+    if type(n) is not int or type(k) is not int:
+        n, k = _integers((n, k), "car_ct_expression argument")
     if n < 2 or k < 1:
         raise ValueError("car_ct_expression requires n >= 2 and k >= 1")
     diffs = [(i, n) for i in range(1, n)]

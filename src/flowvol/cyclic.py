@@ -3,9 +3,10 @@
 An extended word has one more up-step than it has down-steps, starts with
 U, and keeps the weak-decrease condition on consecutive down-steps.
 Repeatedly deleting cyclically adjacent (U, D) pairs leaves a single U
-whose ordinal is the survivor index; rotating at the last U realizes the
-cyclic shift, and together they give the many-to-one projection onto
-labeled Dyck words.
+whose ordinal is the survivor index; every deletion order leaves the same U
+(the cycle lemma of Dvoretzky and Motzkin, 1947).  Rotating the word to end
+at that U realizes the cyclic shifts, and together they give the
+many-to-one projection onto labeled Dyck words.
 
 Extended words are enumerated by ``dyck``'s one walker, started from the
 prefix U with a height floor below any height the word can reach, and
@@ -77,43 +78,38 @@ def survivor_index(word: PrefixExtendedWord) -> int:
     """Ordinal (1-based, among the original U's) of the U left by repeatedly
     deleting cyclically adjacent (U, D) pairs from a word at height 0.
 
-    Every deletion order leaves the same U, so the leftmost deletable pair
-    goes first; ``index_candidates`` follows every order, and the
-    ``CYC-CANDIDATES`` case checks that they agree.
+    Every deletion order leaves the same U, so one scan pairs each down-step
+    with the nearest unpaired U before it.  The d down-steps it leaves
+    unpaired meet, across the end, the last d of the d + 1 unpaired U's: the
+    first unpaired U survives.  ``index_candidates`` follows every order;
+    ``test_deletion_order_does_not_matter`` checks that the two agree.
     """
     if word.height != 0:
         raise ValueError(f"survivor index needs height 0; the word is at height {word.height}")
-    items = _items(word)
-    ups = word.letters.count(UP)
-    while ups > 1:
-        candidates = _deletable(items)
-        if not candidates:
-            raise ValueError("no deletable pair although down-steps remain")
-        items = _without_pair(items, candidates[0])
-        ups -= 1
-    return min(ord_ for letter, ord_ in items if letter == UP)
-
-
-def _items(word: PrefixExtendedWord) -> tuple[tuple[int, int], ...]:
-    """(letter, ordinal of the U among the word's U's, or 0 for a down-step)."""
-    items = []
+    unpaired = []
     ordinal = 0
     for s in word.letters:
         if s == UP:
             ordinal += 1
-            items.append((UP, ordinal))
-        else:
-            items.append((s, 0))
-    return tuple(items)
+            unpaired.append(ordinal)
+        elif unpaired:
+            unpaired.pop()
+    return unpaired[0]
 
 
-def _deletable(items: tuple[tuple[int, int], ...]) -> list[int]:
+def _items(word: PrefixExtendedWord) -> tuple[int, ...]:
+    """One int per letter: the U's ordinal among the word's U's, or 0 for a down-step."""
+    ordinals = iter(range(1, len(word.letters) + 1))
+    return tuple(next(ordinals) if s == UP else 0 for s in word.letters)
+
+
+def _deletable(items: tuple[int, ...]) -> list[int]:
     """Positions of the U's followed, cyclically, by a down-step."""
     size = len(items)
-    return [t for t in range(size) if items[t][0] == UP and items[(t + 1) % size][0] != UP]
+    return [t for t in range(size) if items[t] and not items[(t + 1) % size]]
 
 
-def _without_pair(items: tuple[tuple[int, int], ...], t: int) -> tuple[tuple[int, int], ...]:
+def _without_pair(items: tuple[int, ...], t: int) -> tuple[int, ...]:
     """items without position t and the one after it, cyclically."""
     if t + 1 < len(items):
         return items[:t] + items[t + 2:]
@@ -130,20 +126,16 @@ def project(word: ExtendedWord) -> tuple[LabeledDyckWord, int]:
     """The unique rotation count j with shift^j(word) = w'U for a valid
     labeled Dyck word w'; returns (w', j).
 
-    j is pinned by the survivor index (shifting increments it mod n+1, and
-    dropping the final U of a valid word needs index n+1).  j shifts start
-    the word at its j-th U from the end, so the letters are rotated there
-    once, and only w' is built.
+    The rotation ends at the surviving U, and j is pinned by its index
+    (shifting increments it mod n+1, and dropping the final U of a valid
+    word needs index n+1).  So the letters are sliced once after that U, and
+    only w' is built.
     """
     n = word.n
-    j = (n + 1 - survivor_index(word)) % (n + 1)
+    survivor = survivor_index(word)
     letters = word.letters
-    # for j = 0 this picks the first U, at position 0: the word starts with U
-    start = [t for t, s in enumerate(letters) if s == UP][-j]
-    rotated = letters[start:] + letters[:start]
-    if rotated[-1] != UP:
-        raise ValueError("projection did not end with U; invalid extended word")
-    return LabeledDyckWord(rotated[:-1], word.k), j
+    end = [t for t, s in enumerate(letters) if s == UP][survivor - 1] + 1
+    return LabeledDyckWord(letters[end:] + letters[:end - 1], word.k), (n + 1 - survivor) % (n + 1)
 
 
 def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
@@ -154,15 +146,15 @@ def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
     returned unchecked, so that a caller that counts it, as the
     ``CYC-CANDIDATES`` case does, reports a wrong count as a FAIL rather
     than stopping on an exception."""
-    memo: dict[tuple[tuple[int, int], ...], frozenset[int]] = {}
+    memo: dict[tuple[int, ...], frozenset[int]] = {}
 
-    def explore(items: tuple[tuple[int, int], ...]) -> frozenset[int]:
+    def explore(items: tuple[int, ...]) -> frozenset[int]:
         cached = memo.get(items)
         if cached is not None:
             return cached
         candidates = _deletable(items)
         if not candidates:
-            result = frozenset(ord_ for letter, ord_ in items if letter == UP)
+            result = frozenset(filter(None, items))
         else:
             result = frozenset()
             for t in candidates:

@@ -255,6 +255,8 @@ def doubly_labeled_dyck_words(n: int, k: int) -> Iterator[DoublyLabeledDyckWord]
 
 def weakly_increasing_tuples(length: int, hi: int) -> Iterator[tuple[int, ...]]:
     """Weakly increasing tuples over 1..hi in increasing lexicographic order."""
+    if type(length) is not int or type(hi) is not int:
+        length, hi = _integers((length, hi), "weakly_increasing_tuples argument")
     if length < 0:
         raise ValueError("tuple length must be >= 0")
     return combinations_with_replacement(range(1, hi + 1), length)

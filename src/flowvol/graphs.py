@@ -112,6 +112,8 @@ class FlowAssignment(Record):
 
 def pitman_stanley_graph(n: int) -> DirectedStepGraph:
     """Path 1 -> ... -> n+1 plus shortcut edges (i, n+1) for i <= n-1."""
+    if type(n) is not int:
+        (n,) = _integers((n,), "pitman_stanley_graph argument")
     if n < 2:
         raise ValueError("pitman_stanley_graph requires n >= 2")
     edges = [(i, i + 1) for i in range(1, n + 1)]
@@ -121,6 +123,8 @@ def pitman_stanley_graph(n: int) -> DirectedStepGraph:
 
 def caracol_graph(n: int) -> DirectedStepGraph:
     """Path 1 -> ... -> n+1 plus a source fan (1, i) and a sink fan (i, n+1)."""
+    if type(n) is not int:
+        (n,) = _integers((n,), "caracol_graph argument")
     if n < 3:
         raise ValueError("caracol_graph requires n >= 3")
     edges = [(i, i + 1) for i in range(1, n + 1)]
@@ -134,6 +138,8 @@ def augment(graph: DirectedStepGraph, k: int) -> DirectedStepGraph:
 
     Original labels shift up by one so the result again uses 1..N+1.
     """
+    if type(k) is not int:
+        (k,) = _integers((k,), "augment multiplicity")
     if k < 1:
         raise ValueError("augment requires k >= 1")
     edges = [(i + 1, j + 1) for i, j in graph.edges]

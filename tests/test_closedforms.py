@@ -149,6 +149,23 @@ def test_power_sum_rejects_non_integer_values():
         cf.dominant_power_sum((1.5, 2), 2)
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: cf.tail_multinomial_closed(3, 1.5, 2), "tail_multinomial_closed argument 1.5"),
+        (lambda: cf.tail_multinomial_sum(3, 1.5, 2), "tail_multinomial_sum argument 1.5"),
+        (lambda: cf.dominant_power_sum_pair(2.5, 1, 1), "dominant_power_sum_pair argument 2.5"),
+        (lambda: cf.dominant_power_sum_triple(3.5, 1, 1, 1),
+         "dominant_power_sum_triple argument 3.5"),
+    ],
+    ids=["tail_multinomial_closed", "tail_multinomial_sum", "power_sum_pair", "power_sum_triple"],
+)
+def test_closed_forms_reject_non_integers(call, message):
+    # the closed forms returned a plausible number, the tail sum a TypeError
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()
+
+
 def test_fan_flow_sum():
     assert cf.fan_flow_sum_closed(3, 1, 1, 1) == 1
     assert cf.fan_flow_sum_by_flows(3, 1, 1, 1) == 1

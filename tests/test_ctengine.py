@@ -120,6 +120,29 @@ def test_factors_reject_non_integral_entries():
     assert evaluate(expr) == evaluate(CTExpression(2, (0, 0), ((1, 2),), ((1, 2),)))
 
 
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: CTExpression(2.5, (0, 0), ((1, 2),)), "nvars 2.5"),
+        (lambda: ps_ct_expression(3.5, 1), "ps_ct_expression argument 3.5"),
+        (lambda: car_ct_expression(3.5, 1), "car_ct_expression argument 3.5"),
+    ],
+    ids=["nvars", "ps_ct_expression", "car_ct_expression"],
+)
+def test_expressions_reject_non_integers_at_the_call(call, message):
+    # each raised TypeError in the evaluator or the builder, or a misleading ValueError
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()
+
+
+def test_integral_float_sizes_are_read_as_ints():
+    expr = CTExpression(2.0, (0, 0), ((1, 2),))
+    assert type(expr.nvars) is int
+    assert evaluate(expr) == evaluate(CTExpression(2, (0, 0), ((1, 2),)))
+    assert ps_ct_expression(3.0, 2.0) == ps_ct_expression(3, 2)
+    assert car_ct_expression(3.0, 2.0) == car_ct_expression(3, 2)
+
+
 def test_chain_identity_small_grid():
     for n in range(2, 5):
         for k in range(1, 4):

@@ -66,6 +66,83 @@ def test_deletion_order_does_not_matter():
         assert index_candidates(word) == frozenset({survivor_index(word)})
 
 
+def _leftmost_pair_survivor(word):
+    """The deletion simulation: delete the leftmost cyclically adjacent (U, D)
+    pair until one U is left, over (letter, ordinal) pairs."""
+    items = _pair_items(word)
+    ups = word.letters.count(UP)
+    while ups > 1:
+        items = _pair_without(items, _pair_deletable(items)[0])
+        ups -= 1
+    return min(ordinal for letter, ordinal in items if letter == UP)
+
+
+def _pair_items(word):
+    ordinals = iter(range(1, len(word.letters) + 1))
+    return tuple((s, next(ordinals) if s == UP else 0) for s in word.letters)
+
+
+def _pair_deletable(items):
+    size = len(items)
+    return [t for t in range(size) if items[t][0] == UP and items[(t + 1) % size][0] != UP]
+
+
+def _pair_without(items, t):
+    return items[:t] + items[t + 2:] if t + 1 < len(items) else items[1:t]
+
+
+def _pair_candidates(word):
+    """Every maximal deletion order, explored over (letter, ordinal) pairs."""
+    memo = {}
+
+    def explore(items):
+        if items not in memo:
+            candidates = _pair_deletable(items)
+            memo[items] = frozenset().union(
+                *(explore(_pair_without(items, t)) for t in candidates)
+            ) if candidates else frozenset(o for letter, o in items if letter == UP)
+        return memo[items]
+
+    return explore(_pair_items(word))
+
+
+def test_survivor_index_matches_the_deletion_simulation():
+    for n in range(6):
+        for k in (1, 2):
+            for word in extended_words(n, k):
+                survivor = survivor_index(word)
+                assert type(survivor) is int
+                assert survivor == _leftmost_pair_survivor(word)
+
+
+def test_index_candidates_match_the_pair_explorer():
+    for n in range(5):
+        for i in range(n + 1):
+            for k in (1, 2):
+                for word in prefix_extended_words(n, i, k):
+                    assert index_candidates(word) == _pair_candidates(word)
+
+
+def test_deletion_states_are_ordinals():
+    items = cyclic._items(parse_extended_word(EXAMPLE, 1))
+    assert items == (1, 0, 0, 2, 3, 0, 4)
+    assert all(type(item) is int for item in items)
+
+
+def test_survivor_index_and_project_simulate_no_deletion(monkeypatch):
+    calls = []
+    for name in ("_deletable", "_without_pair"):
+        original = getattr(cyclic, name)
+        monkeypatch.setattr(cyclic, name, lambda *args, f=original: calls.append(args) or f(*args))
+    for word in extended_words(3, 2):
+        survivor_index(word)
+        project(word)
+    assert calls == []
+    # the counter sees the explorer's calls
+    index_candidates(parse_extended_word(EXAMPLE, 1))
+    assert calls
+
+
 def test_project_already_dyck():
     base, j = project(parse_extended_word("UUD1D1U", 1))
     assert str(base) == "UUD1D1"

@@ -215,6 +215,10 @@ def test_weakly_increasing_tuples_match_brute_force():
             assert list(weakly_increasing_tuples(length, hi)) == brute
 
 
+def test_weakly_increasing_tuples_read_integral_floats():
+    assert list(weakly_increasing_tuples(2.0, 2.0)) == list(weakly_increasing_tuples(2, 2))
+
+
 def test_weakly_increasing_tuples_reject_negative_length():
     with pytest.raises(ValueError, match="length"):
         weakly_increasing_tuples(-1, 2)
@@ -325,8 +329,11 @@ def test_enumerators_check_arguments_at_the_call(call):
         (lambda: labeled_dyck_words(2.5, 1), "labeled_dyck_words argument 2.5"),
         (lambda: dyck_prefixes(3, 1.5, 1), "dyck_prefixes argument 1.5"),
         (lambda: min_constrained_run_vectors(2, (1.5, 0.5)), "mins entry 1.5"),
+        (lambda: weakly_increasing_tuples(2.5, 2), "weakly_increasing_tuples argument 2.5"),
+        (lambda: weakly_increasing_tuples(2, 2.5), "weakly_increasing_tuples argument 2.5"),
     ],
-    ids=["zeros", "label_counts", "labeled_dyck_words-n", "dyck_prefixes-i", "mins"],
+    ids=["zeros", "label_counts", "labeled_dyck_words-n", "dyck_prefixes-i", "mins",
+         "weakly_increasing_tuples-length", "weakly_increasing_tuples-hi"],
 )
 def test_enumerators_reject_non_integers_at_the_call(call, message):
     # each was truncated or ignored before, which gave a plausible count

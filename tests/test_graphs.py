@@ -11,6 +11,7 @@ from flowvol.graphs import (
     pitman_stanley_graph,
     restrict,
 )
+from flowvol.lidskii import ehrhart_like
 
 
 def test_ps4_edges():
@@ -127,6 +128,28 @@ def test_net_flow_rejects_non_integral_entries():
 def test_net_flow_with_sink_rejects_non_integral_entries():
     with pytest.raises(ValueError, match="net flow entry 0.5 is not an integer"):
         NetFlow.with_sink((1, 0.5))
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: pitman_stanley_graph(3.5), "pitman_stanley_graph argument 3.5"),
+        (lambda: caracol_graph(4.5), "caracol_graph argument 4.5"),
+        (lambda: augment(caracol_graph(4), 1.5), "augment multiplicity 1.5"),
+        (lambda: ehrhart_like(caracol_graph(4), 1.5), "augment multiplicity 1.5"),
+    ],
+    ids=["pitman_stanley_graph", "caracol_graph", "augment", "ehrhart_like"],
+)
+def test_families_reject_non_integers(call, message):
+    # each raised TypeError inside range() or a list repetition
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()
+
+
+def test_families_read_integral_floats():
+    assert pitman_stanley_graph(3.0) == pitman_stanley_graph(3)
+    assert caracol_graph(4.0) == caracol_graph(4)
+    assert augment(caracol_graph(4), 2.0) == augment(caracol_graph(4), 2)
 
 
 def test_parse_family_specs_use_vertex_counts():
