@@ -145,24 +145,23 @@ def index_candidates(word: PrefixExtendedWord) -> frozenset[int]:
     The cyclic lemma says the set has exactly i+1 members.  The set is
     returned unchecked, so that a caller that counts it, as the
     ``CYC-CANDIDATES`` case does, reports a wrong count as a FAIL rather
-    than stopping on an exception."""
-    memo: dict[tuple[int, ...], frozenset[int]] = {}
+    than stopping on an exception.
 
-    def explore(items: tuple[int, ...]) -> frozenset[int]:
-        cached = memo.get(items)
-        if cached is not None:
-            return cached
-        candidates = _deletable(items)
-        if not candidates:
-            result = frozenset(filter(None, items))
-        else:
-            result = frozenset()
-            for t in candidates:
-                result |= explore(_without_pair(items, t))
-        memo[items] = result
-        return result
-
-    return explore(_items(word))
+    The orders are walked level by level, one deletion per level, so a long
+    word needs no recursion.  Every state of a level has the same length,
+    so the set of a level holds each reachable state once."""
+    level = {_items(word)}
+    survivors: set[int] = set()
+    while level:
+        below = set()
+        for items in level:
+            candidates = _deletable(items)
+            if candidates:
+                below.update(_without_pair(items, t) for t in candidates)
+            else:
+                survivors.update(filter(None, items))
+        level = below
+    return frozenset(survivors)
 
 
 def extended_words(n: int, k: int) -> Iterator[ExtendedWord]:

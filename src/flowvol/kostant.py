@@ -24,7 +24,11 @@ augmented graph, thus costs one number of state rather than one per
 target.  list_flows and iter_flows keep the literal per-edge enumeration
 as the oracle that the count is checked against.
 
-count_flows sets the graph up afresh on each call and keeps nothing
+Which channels are open at each vertex depends on the edges alone, so
+_plan walks the vertices once and fixes every step's cut-state positions
+up front; it is the only code that knows which position holds which
+channel.  _share and _settle are pure transforms of the states over those
+positions.  count_flows plans afresh on each call and keeps nothing
 between calls.  weighted_sweep runs the same sweep over all the supplies
 of a Lidskii sum at once: its nodes are (what is left of a total, cut
 state) pairs, and it returns the weighted transitions between them
@@ -43,16 +47,11 @@ from .graphs import DirectedStepGraph, FlowAssignment, NetFlow
 def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
     """Number of nonnegative integer flows realizing the given net supplies."""
     _check(graph, flow)
-    n = graph.vertex_count
-    mult, feeders, deferred = _setup(graph)
-    # the cut state: one entry per live channel, where channel w > 0 is the
-    # in-flow gathered so far by vertex w and channel -u the pending surplus
-    # of deferred vertex u
-    states, live = {(): 1}, []
-    for v, supply in enumerate(flow.values[:-1], 1):
-        for u in feeders[v]:
-            states = _share(states, live, u, v, mult[u], n)
-        states = _settle(states, live, v, supply, mult[v], n, deferred[v])
+    states = {(): 1}
+    for (shares, settle), supply in zip(_plan(graph), flow.values):
+        for share in shares:
+            states = _share(states, *share)
+        states = _settle(states, supply, *settle)
         if not states:
             return 0
     return states.get((), 0)
@@ -81,7 +80,7 @@ def weighted_sweep(graph: DirectedStepGraph, total: int, t: Sequence[int]) -> Sw
     to each cut state that settle reaches, with weight comb(R, s_v) times
     the number of ways to reach it.  A supply whose prefix sum falls below
     t's has a negative surplus somewhere, which settle drops.  After the
-    last tracked vertex no channel is live, so every node's cut state is
+    last tracked vertex no channel is open, so every node's cut state is
     empty, and the last vertex takes the R that is left.
 
     Each transition is (source node, target node, slot, weight); slot j
@@ -92,73 +91,89 @@ def weighted_sweep(graph: DirectedStepGraph, total: int, t: Sequence[int]) -> Sw
     weight * a^slot along every path from node 0 to the end gives the
     weighted sum of the flow counts.  With no such path the table is empty.
     """
-    n = graph.vertex_count
-    mult, feeders, deferred = _setup(graph)
-    nodes, size, live = {(total, ()): 0}, 1, []
+    nodes, size = {(total, ()): 0}, 1
     slots: dict[tuple[int, int], int] = {}
     transitions = []
-    for v in range(1, n):
+    for i, (shares, settle) in enumerate(_plan(graph)):
         layer, nodes = nodes, {}
         for (left, state), source in layer.items():
-            states, shared = {state: 1}, list(live)
-            for u in feeders[v]:
-                states = _share(states, shared, u, v, mult[u], n)
+            states = {state: 1}
+            for share in shares:
+                states = _share(states, *share)
             for s in range(left + 1):
-                after = list(shared)
-                reached = _settle(states, after, v, s - t[v - 1], mult[v], n, deferred[v])
+                reached = _settle(states, s - t[i], *settle)
                 weight = comb(left, s)
                 if reached:
-                    slot = slots.setdefault((v - 1, s), len(slots))
+                    slot = slots.setdefault((i, s), len(slots))
                 for state_after, ways in reached.items():
                     target = nodes.setdefault((left - s, state_after), size + len(nodes))
                     transitions.append((source, target, slot, weight * ways))
         size += len(nodes)
-        # the live channels depend on the graph alone, so every branch
-        # leaves the same ones
-        live = after
-    ends = [(source, size, slots.setdefault((n - 1, left), len(slots)), 1)
+    last = graph.vertex_count - 1
+    ends = [(source, size, slots.setdefault((last, left), len(slots)), 1)
             for (left, _), source in nodes.items()]
     return SweepTable(transitions + ends, tuple(slots)) if ends else SweepTable(())
 
 
-def _setup(graph):
-    """Out-edge multiplicities, the feeders of each vertex, and which
-    vertices defer their surplus."""
-    n = graph.vertex_count
-    mult: list[dict[int, int]] = [{} for _ in range(n + 1)]
+def _plan(graph):
+    """The sweep's steps, fixed by the edges alone: one (shares, settle)
+    pair per tracked vertex v = 1..n-1, in order.  shares holds the
+    positional arguments after the states of one _share call per deferred
+    vertex with an edge to v, in increasing order; settle holds those after
+    the states and the supply of v's _settle call.  This is the only code
+    that knows which cut state position holds which channel."""
+    last = graph.vertex_count
+    mult: list[dict[int, int]] = [{} for _ in range(last + 1)]
     for i, j in graph.edges:
         row = mult[i]
         row[j] = row.get(j, 0) + 1
-    # feeders[w]: deferred vertices with an edge to w, in increasing order
-    feeders: list[list[int]] = [[] for _ in range(n)]
-    deferred = [False] * n
-    for u in range(1, n):
-        inner = [w for w in mult[u] if w != n]
+    # one channel per cut state position: channel w > 0 is the in-flow
+    # gathered so far by vertex w and channel -u the pending surplus of
+    # deferred vertex u
+    live: list[int] = []
+    plan = []
+    for v in range(1, last):
+        shares = []
+        for u in [-c for c in live if c < 0 and v in mult[-c]]:
+            outs = mult[u]
+            p = live.index(-u)
+            grow = v not in live
+            if grow:
+                live.append(v)
+            # after u's last non-last target, the remainder goes to the last vertex
+            final = max(w for w in outs if w != last) == v
+            shares.append((p, live.index(v), grow, outs[v], outs.get(last, 0), final))
+            if final:
+                del live[p]
+        outs = mult[v]
+        p = live.index(v) if v in live else -1
+        if p >= 0:
+            del live[p]
+        inner = [w for w in outs if w != last]
         if len(inner) > 1:
-            deferred[u] = True
-            for w in inner:
-                feeders[w].append(u)
-    return mult, feeders, deferred
+            live.append(-v)
+            settle = (p, None, False, 0, 0, True)
+        elif inner:
+            target = inner[0]
+            grow = target not in live
+            if grow:
+                live.append(target)
+            settle = (p, live.index(target), grow, outs[target], outs.get(last, 0), False)
+        else:
+            settle = (p, None, False, 0, outs.get(last, 0), False)
+        plan.append((shares, settle))
+    return plan
 
 
-def _share(states, live, u, v, outs, last):
-    """Move target v's share out of deferred vertex u's pending surplus."""
-    p = live.index(-u)
-    if v not in live:
-        live.append(v)
-        states = {state + (0,): count for state, count in states.items()}
-    q = live.index(v)
-    m = outs[v]
-    # after u's last non-last target, the remainder goes to the last vertex
-    final = max(w for w in outs if w != last) == v
-    m_last = outs.get(last, 0)
+def _share(states, p, q, grow, m, m_last, final):
+    """Move a share of the pending surplus at position p into the channel at
+    position q, a new one if grow, by m parallel edges; if final, the
+    remainder goes to the last vertex by m_last edges and position p closes."""
     out: dict[tuple[int, ...], int] = {}
     for state, count in states.items():
-        pending = state[p]
-        base = state[q]
-        s = list(state)
-        shares = range(pending + 1) if not final or m_last else (pending,)
-        for x in shares:
+        s = [*state, 0] if grow else list(state)
+        pending, base = s[p], s[q]
+        for x in range(pending + 1) if not final or m_last else (pending,):
             weight = count * _ways(m, x)
             s[q] = base + x
             if final:
@@ -168,23 +183,15 @@ def _share(states, live, u, v, outs, last):
                 s[p] = pending - x
                 key = tuple(s)
             out[key] = out.get(key, 0) + weight
-    if final:
-        del live[p]
     return out
 
 
-def _settle(states, live, v, supply, outs, last, defer):
-    """Consume v's in-flow, then push or defer its surplus."""
-    p = live.index(v) if v in live else -1
-    if p >= 0:
-        del live[p]
-    m_last = outs.get(last, 0)
-    target = 0 if defer else next((w for w in outs if w != last), 0)
-    grow = defer or (target and target not in live)
-    if grow:
-        live.append(-v if defer else target)
-    q = live.index(target) if target else 0
-    m = outs.get(target, 0)
+def _settle(states, supply, p, q, grow, m, m_last, defer):
+    """Add supply to the in-flow at position p (none if p < 0) and close it.
+    If defer, the surplus becomes a new pending channel at the end; else it
+    is split between the channel at position q, a new one if grow, by m
+    parallel edges and the last vertex by m_last edges (all to the last
+    vertex if q is None)."""
     out: dict[tuple[int, ...], int] = {}
     for state, count in states.items():
         if p >= 0:
@@ -200,7 +207,7 @@ def _settle(states, live, v, supply, outs, last, defer):
             key = tuple(rest)
             out[key] = out.get(key, 0) + count
             continue
-        if not target:
+        if q is None:
             weight = _ways(m_last, surplus)
             if weight:
                 key = tuple(rest)

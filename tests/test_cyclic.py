@@ -123,6 +123,12 @@ def test_index_candidates_match_the_pair_explorer():
                     assert index_candidates(word) == _pair_candidates(word)
 
 
+def test_index_candidates_walk_a_long_word_without_recursion():
+    # one deletion order, 1200 deletions deep: past the default recursion limit
+    word = ExtendedWord((UP,) * 1201 + (0,) * 1200, 1)
+    assert index_candidates(word) == frozenset({1})
+
+
 def test_deletion_states_are_ordinals():
     items = cyclic._items(parse_extended_word(EXAMPLE, 1))
     assert items == (1, 0, 0, 2, 3, 0, 4)

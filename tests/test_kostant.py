@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 from itertools import product
 
 import pytest
@@ -236,6 +237,17 @@ def test_heads_reaching_one_cut_state_share_later_steps():
     # every composition has one flow, so the sum is the multinomial theorem
     for head in ((1,) * 8, tuple(range(1, 9)), (0, 2, 0, 0, 3, 0, 1, 0)):
         assert lidskii._table_sum(table, [head[i] ** e for i, e in table.slots]) == sum(head) ** total
+
+
+def test_pushes_into_one_vertex_merge():
+    # vertices 1..30 each push their unit into 31 or 32; the shares merge
+    # into 31's one in-flow channel, so the sweep holds at most 31 states
+    # where one channel per pusher would need 2^30
+    edges = [(i, j) for i in range(1, 31) for j in (31, 32)] + [(31, 32)]
+    graph = DirectedStepGraph(32, tuple(edges))
+    start = time.perf_counter()
+    assert count_flows(graph, NetFlow((1,) * 30 + (0, -30))) == 2**30
+    assert time.perf_counter() - start < 1
 
 
 def test_one_off_ehrhart_query_stores_no_steps():

@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import threading
+from hashlib import sha256
 from itertools import product
 from math import comb, factorial, prod
 from operator import getitem
@@ -225,11 +226,16 @@ def test_volume_table_paths_spell_the_dominant_compositions(name):
     assert coefficients == expected
 
 
+def _complete_graph(v):
+    return parse_graph_spec(f"{v}:" + ",".join(f"{i}-{j}" for i in range(1, v + 1) for j in range(i + 1, v + 1)))
+
+
 @pytest.mark.parametrize(("graph", "count"), [
     (pitman_stanley_graph(7), 57), (pitman_stanley_graph(8), 85),
     (pitman_stanley_graph(9), 121), (pitman_stanley_graph(10), 166),
     (caracol_graph(7), 168), (caracol_graph(8), 316), (caracol_graph(9), 555),
-], ids=["ps7", "ps8", "ps9", "ps10", "car7", "car8", "car9"])
+    (_complete_graph(7), 574),
+], ids=["ps7", "ps8", "ps9", "ps10", "car7", "car8", "car9", "K7"])
 def test_volume_term_counts(graph, count):
     # the counts behind perfbench's lidskii.volume_terms.terms: transitions,
     # 1468 over volume-batch's seven graphs, where there were 8844 terms
@@ -237,12 +243,24 @@ def test_volume_term_counts(graph, count):
 
 
 @pytest.mark.parametrize(("graph", "count"), [
-    (pitman_stanley_graph(10), 54), (caracol_graph(9), 44),
-], ids=["ps10", "car9"])
+    (pitman_stanley_graph(10), 54), (caracol_graph(9), 44), (_complete_graph(7), 36),
+], ids=["ps10", "car9", "K7"])
 def test_volume_slot_counts(graph, count):
     # a query raises one power per slot: 54 for ps 10, where the whole
     # table of a_i^e for e up to m-n held 100
     assert len(lidskii.volume_terms(graph).slots) == count
+
+
+@pytest.mark.parametrize(("graph", "digest"), [
+    (pitman_stanley_graph(10), "9332fe172f324ce3"),
+    (caracol_graph(9), "527974a8dd5e5272"),
+    (_complete_graph(7), "b8edcfcbc6266e47"),
+], ids=["ps10", "car9", "K7"])
+def test_volume_tables_are_pinned(graph, digest):
+    # the transitions, their order and the slots are part of the table:
+    # a change in the sweep's layout must not move a single node number
+    table = lidskii.volume_terms(graph)
+    assert sha256(repr((tuple(table), table.slots)).encode()).hexdigest().startswith(digest)
 
 
 @pytest.mark.parametrize("name", FAMILY_GRAPHS)
@@ -489,6 +507,21 @@ def test_unit_flow_matches_volume_sum():
         n = g.vertex_count - 1
         unit = NetFlow((1,) + (0,) * (n - 1) + (-1,))
         assert unit_flow_volume(g) == volume(g, unit)
+
+
+@pytest.mark.parametrize("v", range(3, 10))
+def test_complete_graph_volumes(v):
+    # nearly every vertex of K_v defers its surplus, which no family graph
+    # does.  At (1, 0, ..., 0, -1) the volume is the product
+    # of the first v - 3 Catalan numbers (Chan, Robbins and Yuen); at
+    # (1, ..., 1, -n) with n = v - 1 it is C(n,2)! 2^C(n,2) / prod_i i!
+    # (Tesler)
+    graph = _complete_graph(v)
+    n = v - 1
+    assert volume(graph, NetFlow((1,) + (0,) * (n - 1) + (-1,))) == prod(catalan(i) for i in range(1, v - 2))
+    pairs = comb(n, 2)
+    tesler = factorial(pairs) * 2**pairs // prod(factorial(i) for i in range(1, n + 1))
+    assert volume(graph, NetFlow((1,) * n + (-n,))) == tesler
 
 
 def test_ehrhart_spot_values():
