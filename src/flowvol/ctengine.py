@@ -3,7 +3,9 @@
 Two independent evaluators are provided.  (x_j-x_i)^-1 with i<j always
 expands as x_j^-1 * sum_l (x_i/x_j)^l, so each diff factor carries one
 exponent l >= 0 and each pow factor (1-x_i)^-k one exponent r, weighted by
-the multiset coefficient comb(k+r-1, r).
+the multiset coefficient comb(k+r-1, r).  A diff factor repeated m times
+is (x_j-x_i)^-m, each copy with its own l, just as graphs writes m
+parallel edges as m repeated pairs.
 
 The primary evaluator, evaluate, is a forward sweep over the variables in
 increasing order and never truncates.  The constant term in x_v asks that
@@ -71,13 +73,9 @@ class CTExpression(Record):
                 raise ValueError(f"pow factor index {i} out of range")
             if k < 1:
                 raise ValueError("pow factor multiplicity must be >= 1")
-        seen = set()
         for i, j in diff_factors:
             if not (1 <= i < j <= nvars):
                 raise ValueError(f"diff factor ({i},{j}) needs 1 <= i < j <= nvars")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate diff factor ({i},{j})")
-            seen.add((i, j))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "monomial", monomial)
         object.__setattr__(self, "pow_factors", tuple(sorted(pow_factors)))
@@ -223,11 +221,7 @@ def _multiply_two(poly, low, high, cap):
 
 
 def _multiset(n: int, m: int) -> int:
-    if m < 0:
-        return 0
-    if n == 0:
-        return 1 if m == 0 else 0
-    return comb(n + m - 1, m)
+    return comb(n + m - 1, m) if m else 1
 
 
 def ps_ct_expression(n: int, k: int) -> CTExpression:
@@ -262,13 +256,11 @@ def car_ct_expression(n: int, k: int) -> CTExpression:
 
 
 def flow_count_expression(graph: DirectedStepGraph, flow: NetFlow) -> CTExpression:
-    """Coefficient-extraction form of the flow count for simple graphs:
-    each edge (i,j) contributes x_j*(x_j-x_i)^-1 and the target coefficient
-    moves into the monomial."""
+    """Coefficient-extraction form of the flow count: each edge (i,j)
+    contributes x_j*(x_j-x_i)^-1, so m parallel edges give a repeated diff
+    factor, and the target coefficient moves into the monomial."""
     if len(flow) != graph.vertex_count:
         raise ValueError("flow length must match the graph")
-    if len(set(graph.edges)) != len(graph.edges):
-        raise ValueError("flow_count_expression requires a simple graph")
     monomial = [-a for a in flow.values]
     for _, j in graph.edges:
         monomial[j - 1] += 1

@@ -21,8 +21,9 @@ chosen from the edges alone:
 Parallel edges are grouped: m parallel edges carry x units in
 comb(m+x-1, x) ways.  A deferred source fan, such as the k-fold fan of an
 augmented graph, thus costs one number of state rather than one per
-target.  list_flows and iter_flows keep the literal per-edge enumeration
-as the oracle that the count is checked against.
+target.  The count has two witnesses: list_flows and iter_flows keep the
+literal per-edge enumeration, and ctengine takes the same count as the
+constant term of flow_count_expression, parallel edges included.
 
 Which channels are open at each vertex depends on the edges alone, so
 _plan walks the vertices once and fixes every step's cut-state positions

@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from flowvol import cli, closedforms as cf, dyck
+from flowvol import cli, closedforms as cf, dyck, kostant, lidskii
 from flowvol.cli import main
 from flowvol.ctengine import SeriesUnstableError, flow_count_expression, format_ct_expression
 from flowvol.graphs import parse_graph_spec, parse_net_flow
@@ -69,12 +69,27 @@ def test_volume_all_methods_reports_disagreement(capsys, monkeypatch):
     assert (code, out) == (1, "kpf=3\nct=0\nDISAGREE\n")
 
 
-def test_volume_all_methods_rejects_multigraph(capsys):
-    code, out, err = run_cli(
+def test_volume_all_methods_on_a_multigraph(capsys):
+    # the non-sink part has parallel edges, which the ct route reads as
+    # repeated diff factors
+    code, out, _ = run_cli(
         capsys, "volume", "--graph", "aug:2:ps:3", "--flow", "1,1,1", "--method", "all"
     )
-    assert (code, out) == (2, "")
-    assert "simple graph" in err
+    assert (code, out) == (0, "kpf=8\nct=8\nAGREE\n")
+
+
+def test_volume_all_methods_catch_parallel_edges_counted_once(capsys, monkeypatch):
+    # a planted error in kostant's grouping of parallel edges: m edges carry
+    # x units in one way instead of comb(m+x-1, x)
+    monkeypatch.setattr(kostant, "_ways", lambda m, x: 1)
+    lidskii.volume_terms.cache_clear()
+    try:
+        code, out, _ = run_cli(
+            capsys, "volume", "--graph", "aug:2:car:5", "--flow", "1,1,1,1,1", "--method", "all"
+        )
+    finally:
+        lidskii.volume_terms.cache_clear()
+    assert (code, out) == (1, "kpf=33924\nct=48077\nDISAGREE\n")
 
 
 def test_volume_rejects_negative_supply(capsys):

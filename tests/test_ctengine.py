@@ -99,8 +99,17 @@ def test_validation_errors():
         CTExpression(2, (0, 0), pow_factors=((1, 0),))
     with pytest.raises(ValueError):
         CTExpression(2, (0, 0), diff_factors=((2, 1),))
-    with pytest.raises(ValueError):
-        CTExpression(2, (0, 0), diff_factors=((1, 2), (1, 2)))
+
+
+def test_repeated_diff_is_a_power():
+    # (x2-x1)^-2 = x2^-2 sum_l (l+1) (x1/x2)^l, so only l = 0 meets x2^2
+    expr = CTExpression(2, (0, 2), diff_factors=((1, 2), (1, 2)))
+    assert expr.diff_factors == ((1, 2), (1, 2))
+    assert evaluate(expr) == evaluate_series(expr) == 1
+    # with x1^-1 (1-x1)^-1 the exponents l + r make 1, and x2^3 keeps only
+    # l = 1, whose weight in the square is 2
+    weighted = CTExpression(2, (-1, 3), ((1, 1),), ((1, 2), (1, 2)))
+    assert evaluate(weighted) == evaluate_series(weighted) == 2
 
 
 def test_monomial_rejects_non_integral_exponents():
@@ -358,8 +367,10 @@ def test_format_parse_round_trip():
         car_ct_expression(4, 1),
         CTExpression(2, (-1, 3)),
         CTExpression(3, (0, 0, 0), ((2, 5),), ((1, 3),)),
+        CTExpression(3, (-1, 1, 2), ((1, 1),), ((1, 2), (2, 3), (1, 2), (2, 3), (1, 2))),
     ):
         assert parse_ct_expression(format_ct_expression(expr)) == expr
+    assert format_ct_expression(parse_ct_expression("m:0,2; d:1-2,1-2")) == "m:0,2; p:; d:1-2,1-2"
 
 
 def test_parse_examples():

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from flowvol.closedforms import ehrhart_ps_closed
-from flowvol.ctengine import evaluate_series_oracle, flow_count_expression
+from flowvol.ctengine import (
+    evaluate,
+    evaluate_series,
+    evaluate_series_oracle,
+    flow_count_expression,
+)
 from flowvol.graphs import (
     DirectedStepGraph,
     NetFlow,
@@ -178,6 +183,41 @@ def multigraph(draw):
     pairs = [(i, j) for i in range(1, vertex_count) for j in range(i + 1, vertex_count + 1)]
     edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8))
     return DirectedStepGraph(vertex_count, tuple(edges))
+
+
+@st.composite
+def multigraph_and_flow(draw):
+    graph = draw(multigraph())
+    size = graph.vertex_count - 1
+    head = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=size, max_size=size))
+    return graph, NetFlow.with_sink(head)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraph_and_flow())
+def test_count_equals_the_constant_term_on_multigraphs(case):
+    # kostant groups m parallel edges through _ways; ctengine reads them as
+    # a diff factor repeated m times, a power of the edge's factor
+    g, flow = case
+    assert count_flows(g, flow) == evaluate(flow_count_expression(g, flow))
+
+
+@settings(max_examples=40, deadline=None)
+@given(multigraph_and_flow())
+def test_count_equals_the_series_on_multigraphs(case):
+    g, flow = case
+    assert count_flows(g, flow) == evaluate_series(flow_count_expression(g, flow))
+
+
+def test_constant_term_catches_parallel_edges_counted_once(monkeypatch):
+    # a planted error: m parallel edges carry x units in one way instead of
+    # comb(m+x-1, x), so the flow count falls below the constant term
+    g = parse_graph_spec("4:1-2,1-2,2-3,2-3,3-4,1-4")
+    flow = NetFlow.with_sink([2, 1, 1])
+    expected = evaluate(flow_count_expression(g, flow))
+    assert count_flows(g, flow) == expected == 20
+    monkeypatch.setattr(kostant, "_ways", lambda m, x: 1)
+    assert count_flows(g, flow) == 3
 
 
 @st.composite

@@ -342,9 +342,11 @@ def test_volume_matches_the_dense_reference(case):
     flow = NetFlow.with_sink(head)
     expected = _dense_volume(g, flow)
     assert volume(g, flow) == expected
-    # the constant-term counter needs a simple graph; count_flows passed as
-    # kostant still builds the terms afresh instead of reading the cache
+    # count_flows passed as kostant still builds the terms afresh instead of
+    # reading the cache; the constant-term counter reads parallel edges as
+    # repeated diff factors
     assert volume(g, flow, count_flows) == expected
+    assert volume(g, flow, _ct_counter) == expected
 
 
 @st.composite
@@ -365,11 +367,13 @@ def larger_graph_and_supplies(draw):
 @given(larger_graph_and_supplies())
 def test_the_table_matches_the_flat_sum(case):
     # the default route, one pass over the table, against the term-by-term
-    # sum with count_flows and against the dense reference
+    # sum with count_flows and with the constant-term counter, and against
+    # the dense reference
     g, head = case
     flow = NetFlow.with_sink(head)
     expected = volume(g, flow, count_flows)
     assert volume(g, flow) == expected == _dense_volume(g, flow)
+    assert volume(g, flow, _ct_counter) == expected
 
 
 @pytest.mark.parametrize("name", [f"{family}{n}" for family in ("ps", "car") for n in range(3, 11)])
