@@ -1,7 +1,11 @@
 """The frozen value records' base class.  A subclass names its fields in
-``_fields`` and stores them in its ``__init__`` with ``object.__setattr__``;
-equality (same class, equal fields), hashing, ``Name(field=value, ...)``
-repr and the refusal to assign or delete are defined here once."""
+``_fields`` and stores each one in its ``__init__`` straight into the
+instance dict, ``self.__dict__[name] = value``: that goes round the refusing
+``__setattr__`` below at the cost of one dict store, where
+``object.__setattr__`` pays a call, and every record uses it, so there is
+one idiom.  Equality (same class, equal fields), hashing,
+``Name(field=value, ...)`` repr and the refusal to assign or delete are
+defined here once."""
 
 from operator import attrgetter
 

@@ -76,10 +76,10 @@ class CTExpression(Record):
         for i, j in diff_factors:
             if not (1 <= i < j <= nvars):
                 raise ValueError(f"diff factor ({i},{j}) needs 1 <= i < j <= nvars")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "monomial", monomial)
-        object.__setattr__(self, "pow_factors", tuple(sorted(pow_factors)))
-        object.__setattr__(self, "diff_factors", tuple(sorted(diff_factors)))
+        self.__dict__["nvars"] = nvars
+        self.__dict__["monomial"] = monomial
+        self.__dict__["pow_factors"] = tuple(sorted(pow_factors))
+        self.__dict__["diff_factors"] = tuple(sorted(diff_factors))
 
 
 def evaluate(expr: CTExpression) -> int:

@@ -34,8 +34,8 @@ class PrefixExtendedWord(Record):
     def __init__(self, letters: tuple[int, ...], k: int) -> None:
         if _validate_letters(letters, k) < 0:
             raise ValueError("prefix extended word has too many down-steps")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "k", k)
+        self.__dict__["letters"] = letters
+        self.__dict__["k"] = k
 
     @property
     def n(self) -> int:
@@ -57,8 +57,8 @@ class ExtendedWord(PrefixExtendedWord):
         # not the prefix check: too many down-steps gets this message too
         if _validate_letters(letters, k) != 0:
             raise ValueError("extended word must have exactly one more U than down-steps")
-        object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "k", k)
+        self.__dict__["letters"] = letters
+        self.__dict__["k"] = k
 
 
 def _validate_letters(letters: tuple[int, ...], k: int) -> int:

@@ -16,7 +16,10 @@ fixes the number of 0-labels; a down-step may not take the height below
 The walker runs in one generator frame with an explicit stack of the next
 option at each open node, so each word is handed to the caller once, not
 up through one generator per step, and no word length reaches the
-recursion limit.
+recursion limit.  The walk ends at the last up-step: the rest of the word
+is one weakly decreasing down-run, which comes per pool class, highest
+class first, from ``combinations_with_replacement`` over that class's
+labels, so no node is opened for a down-step after the last U.
 
 One validator, ``_validate_steps``, checks every kind of word the same way,
 in one pass.  It tests each down-step with one merged condition (label in
@@ -24,7 +27,8 @@ range and no higher than the run allows, height above the floor) and
 returns the height where the steps end.  A rejected word is diagnosed from
 the state where the pass stopped: the failing step, its position and the
 height and run top before it name the rule, range before height before
-order.  The extra channel of a doubly labeled word is checked the same way.
+order.  The extra channel of a doubly labeled word is checked the same way,
+and its base must be a ``LabeledDyckWord``.
 
 A whole word is its prefix class at height 0: ``LabeledDyckWord`` is a
 ``DyckPrefixWord`` that adds only the balance check.  Every enumerated word
@@ -34,7 +38,7 @@ its arguments at the call, before anything is iterated.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product, repeat
 from operator import add
 from typing import Callable, Iterator, Sequence
 
@@ -52,8 +56,8 @@ class DyckPrefixWord(Record):
 
     def __init__(self, steps: tuple[int, ...], k: int) -> None:
         _validate_steps(steps, k)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "k", k)
+        self.__dict__["steps"] = steps
+        self.__dict__["k"] = k
 
     @property
     def n(self) -> int:
@@ -85,8 +89,8 @@ class LabeledDyckWord(DyckPrefixWord):
             raise ValueError(
                 f"word has {ups} up-steps and {len(steps) - ups} down-steps; must balance"
             )
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "k", k)
+        self.__dict__["steps"] = steps
+        self.__dict__["k"] = k
 
     @property
     def zero_label_count(self) -> int:
@@ -103,6 +107,9 @@ class DoublyLabeledDyckWord(Record):
     _fields = ("base", "extra")
 
     def __init__(self, base: LabeledDyckWord, extra: tuple[int, ...]) -> None:
+        # an unbalanced prefix would print as text that parse_word rejects
+        if not isinstance(base, LabeledDyckWord):
+            raise ValueError(f"base must be a LabeledDyckWord, not {type(base).__name__}")
         steps = base.steps
         # the eligible positions, counted inline: this runs for every enumerated word
         want = len(steps) // 2 + steps.count(0)
@@ -116,8 +123,8 @@ class DoublyLabeledDyckWord(Record):
                 break
             prev = e
         else:
-            object.__setattr__(self, "base", base)
-            object.__setattr__(self, "extra", extra)
+            self.__dict__["base"] = base
+            self.__dict__["extra"] = extra
             return
         # rejected at label e, with prev before it: the range is checked before the order
         slot = len(extra) - sum(1 for _ in rest)
@@ -296,17 +303,30 @@ def _walk(
 
     Label t is available while ``counts[pool[t]]`` is positive, and the
     counts sum to the down-steps still to place; no down-step may take the
-    height below ``floor``.  ``prefix`` and ``counts`` are worked in place
-    and restored.
+    height below ``floor``.  The pool is weakly increasing in the label, so
+    each class's labels lie above those of every lower class.  ``prefix``
+    and ``counts`` are worked in place and restored.
 
-    The walk runs in this one frame.  ``todo`` holds, for each open node,
-    the next option to try there: its down labels from the top one to 0,
-    then UP, so the options count down one range and an option below UP
-    means the node is done."""
+    The walk ends at the last up-step.  What follows it is one weakly
+    decreasing down-run that uses up every count, and the height only falls
+    along it, so the run keeps the floor exactly when its end height
+    ``up_total - down_total`` does; ``_tails`` gives every such run.
+
+    The steps up to the last up-step are walked in this one frame.  ``todo``
+    holds, for each open node, the next option to try there: its down
+    labels from the top one to 0, then UP, so the options count down one
+    range and an option below UP means the node is done."""
+    if up_total - down_total < floor:
+        return
+    # each pool class's labels counted down from k, the highest class first
+    labels = [[t for t in range(k, -1, -1) if pool[t] == c] for c in reversed(range(len(counts)))]
     ups = prefix.count(UP)
     downs = len(prefix) - ups
-    if ups == up_total and downs == down_total:
-        yield build(tuple(prefix), k)
+    if ups == up_total:
+        top = prefix[-1] if prefix and prefix[-1] != UP else k
+        head = tuple(prefix)
+        for tail in _tails([[t for t in run if t <= top] for run in labels], counts):
+            yield build(head + tail, k)
         return
     if downs < down_total and ups - downs > floor:
         todo = [prefix[-1] if prefix and prefix[-1] != UP else k]
@@ -320,7 +340,8 @@ def _walk(
             todo[-1] = s - 1
             counts[pool[s]] -= 1
             downs += 1
-        elif s == UP and ups < up_total:
+        elif s == UP:
+            # an open node is short of an up-step, or it would not be open
             todo[-1] = UP - 1
             ups += 1
         else:
@@ -335,18 +356,33 @@ def _walk(
                     downs -= 1
             continue
         prefix.append(s)
-        if ups == up_total and downs == down_total:
-            yield build(tuple(prefix), k)
+        if ups == up_total:
+            # the last up-step: every word that extends it ends in one down-run
+            head = tuple(prefix)
+            for tail in _tails(labels, counts):
+                yield build(head + tail, k)
             prefix.pop()
-            if s == UP:
-                ups -= 1
-            else:
-                counts[pool[s]] += 1
-                downs -= 1
+            ups -= 1
         elif downs < down_total and ups - downs > floor:
             todo.append(k if s == UP else s)
         else:
             todo.append(UP)
+
+
+def _tails(labels: list[list[int]], counts: list[int]) -> Iterator[tuple[int, ...]]:
+    """Each weakly decreasing down-run that uses up ``counts``, in the
+    enumeration order.  ``labels`` lists each pool class's labels no higher
+    than the run's top, counted down, the highest class first.  The run is
+    one part per class, in that order, and a class's part is a
+    ``combinations_with_replacement`` run of its labels of length
+    ``counts[c]``; under the shared pool that is the whole run."""
+    if len(counts) == 1:
+        return combinations_with_replacement(labels[0], counts[0])
+    # a class with no count left adds only (), so only the others are joined
+    runs = [combinations_with_replacement(run, c) for run, c in zip(labels, reversed(counts)) if c]
+    if len(runs) == 1:
+        return runs[0]
+    return map(sum, product(*runs), repeat(()))
 
 
 def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:

@@ -33,8 +33,8 @@ class DirectedStepGraph(Record):
         for i, j in edges:
             if not (1 <= i < j <= vertex_count):
                 raise ValueError(f"edge ({i},{j}) violates 1 <= i < j <= {vertex_count}")
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edges", tuple(sorted(edges)))
+        self.__dict__["vertex_count"] = vertex_count
+        self.__dict__["edges"] = tuple(sorted(edges))
 
     @property
     def edge_count(self) -> int:
@@ -78,7 +78,7 @@ class NetFlow(Record):
         total = sum(values)
         if total != 0:
             raise ValueError(f"net flow entries must sum to zero, got {total}")
-        object.__setattr__(self, "values", values)
+        self.__dict__["values"] = values
 
     def __len__(self) -> int:
         return len(self.values)
@@ -98,7 +98,7 @@ class FlowAssignment(Record):
     def __init__(self, values: tuple[int, ...]) -> None:
         if any(v < 0 for v in values):
             raise ValueError("flow values must be nonnegative")
-        object.__setattr__(self, "values", values)
+        self.__dict__["values"] = values
 
     def satisfies(self, graph: DirectedStepGraph, flow: NetFlow) -> bool:
         if len(self.values) != graph.edge_count or len(flow) != graph.vertex_count:

@@ -63,10 +63,11 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
+from collections import Counter, deque
 from functools import lru_cache, partial
-from itertools import product
+from itertools import count, product
 from math import prod
+from operator import methodcaller
 from typing import Callable
 
 from . import closedforms as cf
@@ -93,28 +94,28 @@ class CaseSpec(Record):
     _fields = ("ident", "params")
 
     def __init__(self, ident: str, params: Params) -> None:
-        object.__setattr__(self, "ident", ident)
-        object.__setattr__(self, "params", params)
+        self.__dict__["ident"] = ident
+        self.__dict__["params"] = params
 
 
 class CaseRecord(Record):
     _fields = ("ident", "params", "expected", "actual", "status")
 
     def __init__(self, ident: str, params: Params, expected: str, actual: str, status: str) -> None:
-        object.__setattr__(self, "ident", ident)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "actual", actual)
-        object.__setattr__(self, "status", status)
+        self.__dict__["ident"] = ident
+        self.__dict__["params"] = params
+        self.__dict__["expected"] = expected
+        self.__dict__["actual"] = actual
+        self.__dict__["status"] = status
 
 
 class VerificationReport(Record):
     _fields = ("suite", "cases", "duration_ms")
 
     def __init__(self, suite: str, cases: tuple[CaseRecord, ...], duration_ms: int) -> None:
-        object.__setattr__(self, "suite", suite)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "duration_ms", duration_ms)
+        self.__dict__["suite"] = suite
+        self.__dict__["cases"] = cases
+        self.__dict__["duration_ms"] = duration_ms
 
     @property
     def summary(self) -> dict[str, int]:
@@ -136,7 +137,11 @@ class VerificationReport(Record):
 # -- case computation ----------------------------------------------------------
 
 def _count(items) -> int:
-    return sum(1 for _ in items)
+    """The number of items, counted in C: ``zip`` draws one tally per item,
+    and a ``deque`` of length 0 runs it without a Python frame per item."""
+    tally = count()
+    deque(zip(items, tally), maxlen=0)
+    return next(tally)
 
 
 @lru_cache(maxsize=None)
@@ -146,7 +151,7 @@ def _prefix_census(n: int, i: int, k: int) -> Counter[tuple[int, ...]]:
     the labeled words, so that walk is ``dyck.labeled_dyck_words``.  The
     counter is shared by the cache, so callers only read it."""
     words = dyck.labeled_dyck_words(n, k) if i == 0 else dyck.dyck_prefixes(n, i, k)
-    return Counter(word.label_counts() for word in words)
+    return Counter(map(methodcaller("label_counts"), words))
 
 
 def _word_census(n: int, k: int) -> tuple[Counter[tuple[int, ...]], int]:

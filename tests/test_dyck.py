@@ -76,6 +76,26 @@ def test_extra_channel_validation():
         DoublyLabeledDyckWord(base, (1, 1, 1, 1))  # wrong length
 
 
+@pytest.mark.parametrize(
+    "base,message",
+    [
+        # an unbalanced prefix would print UUD0|1,1, which parse_word rejects
+        (DyckPrefixWord((UP, UP, 0), 1), "base must be a LabeledDyckWord, not DyckPrefixWord"),
+        ((UP, 0), "base must be a LabeledDyckWord, not tuple"),
+    ],
+    ids=["prefix", "tuple"],
+)
+def test_doubly_labeled_base_must_be_a_labeled_word(base, message):
+    with pytest.raises(ValueError) as info:
+        DoublyLabeledDyckWord(base, (1, 1))
+    assert str(info.value) == message
+
+
+def test_an_unbalanced_base_has_no_text():
+    with pytest.raises(ValueError, match="must balance"):
+        parse_word("UUD0|1,1", 1, doubly=True)
+
+
 def _reference_extra_error(extra, k):
     """The first error of the extra channel, slot by slot, range before order."""
     for t, e in enumerate(extra):

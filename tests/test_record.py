@@ -9,8 +9,14 @@ import re
 import pytest
 
 from flowvol.ctengine import CTExpression
-from flowvol.cyclic import ExtendedWord, PrefixExtendedWord
-from flowvol.dyck import UP, DoublyLabeledDyckWord, DyckPrefixWord, LabeledDyckWord
+from flowvol.cyclic import ExtendedWord, PrefixExtendedWord, extended_words
+from flowvol.dyck import (
+    UP,
+    DoublyLabeledDyckWord,
+    DyckPrefixWord,
+    LabeledDyckWord,
+    doubly_labeled_dyck_words,
+)
 from flowvol.graphs import DirectedStepGraph, FlowAssignment, NetFlow
 from flowvol.verify import CaseRecord, CaseSpec, VerificationReport
 
@@ -33,6 +39,11 @@ BUILDERS = [
     lambda: CaseSpec("EQ1", (("n", 2), ("k", 1))),
     _case_record,
     lambda: VerificationReport("all", (_case_record(),), 12),
+    # words as the enumerators build them, at the end of a final down-run
+    pytest.param(
+        lambda: list(doubly_labeled_dyck_words(2, 2))[-1], id="DoublyLabeledDyckWord-enumerated"
+    ),
+    pytest.param(lambda: list(extended_words(2, 2))[-1], id="ExtendedWord-enumerated"),
 ]
 
 

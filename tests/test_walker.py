@@ -1,8 +1,9 @@
 """Every enumerator built on the shared word walker against a brute-force
 oracle: all step tuples over {U, D0..Dk} that the word's validating
 constructor accepts, in reverse-sorted order (the enumeration order).
-Past the oracle's reach, the walker is checked against a recursive walker
-kept here as the reference."""
+Past the oracle's reach, the walker is checked against two walkers kept
+here as references: a recursive one, and one that opens a node for every
+step, the final down-run's included."""
 
 from functools import lru_cache
 from itertools import product
@@ -110,12 +111,61 @@ def _recursive_walk(prefix, up_total, down_total, k, pool, counts, floor, build)
     return walk(ups, len(prefix) - ups)
 
 
-def _both_walkers(monkeypatch, enumerate_words):
-    """The words of ``enumerate_words()`` from the walker and from the
-    recursive reference, as two lists."""
+def _node_walk(prefix, up_total, down_total, k, pool, counts, floor, build):
+    """The walker with one node per step to the end of the word, the
+    down-steps after the last U included, in one frame: the reference for
+    ``dyck._walk``'s final down-runs, which takes the same arguments."""
+    ups = prefix.count(UP)
+    downs = len(prefix) - ups
+    if ups == up_total and downs == down_total:
+        yield build(tuple(prefix), k)
+        return
+    if downs < down_total and ups - downs > floor:
+        todo = [prefix[-1] if prefix and prefix[-1] != UP else k]
+    else:
+        todo = [UP]
+    while todo:
+        s = todo[-1]
+        while s >= 0 and not counts[pool[s]]:
+            s -= 1
+        if s >= 0:
+            todo[-1] = s - 1
+            counts[pool[s]] -= 1
+            downs += 1
+        elif s == UP and ups < up_total:
+            todo[-1] = UP - 1
+            ups += 1
+        else:
+            todo.pop()
+            if todo:
+                s = prefix.pop()
+                if s == UP:
+                    ups -= 1
+                else:
+                    counts[pool[s]] += 1
+                    downs -= 1
+            continue
+        prefix.append(s)
+        if ups == up_total and downs == down_total:
+            yield build(tuple(prefix), k)
+            prefix.pop()
+            if s == UP:
+                ups -= 1
+            else:
+                counts[pool[s]] += 1
+                downs -= 1
+        elif downs < down_total and ups - downs > floor:
+            todo.append(k if s == UP else s)
+        else:
+            todo.append(UP)
+
+
+def _both_walkers(monkeypatch, enumerate_words, reference=_recursive_walk):
+    """The words of ``enumerate_words()`` from the walker and from a
+    reference walker, the recursive one unless named, as two lists."""
     fast = list(enumerate_words())
     with monkeypatch.context() as patch:
-        patch.setattr(dyck, "_walk", _recursive_walk)
+        patch.setattr(dyck, "_walk", reference)
         slow = list(enumerate_words())
     return fast, slow
 
@@ -165,3 +215,79 @@ def test_deep_walk_needs_no_recursion():
     word = next(dyck.labeled_dyck_words(1200, 1))
     assert len(word.steps) == 2400
     assert word.steps == (UP, 1) * 1200
+
+
+def _enumerations(n, k):
+    """Every enumeration of (n, k) that runs on the walker: the labeled
+    words unfiltered, by zeros and by label counts, and the prefixes of
+    every height with and without label counts; for n <= 4 also the
+    extended words, the prefix extended words and the doubly labeled
+    words."""
+    calls = [lambda: dyck.labeled_dyck_words(n, k)]
+    calls += [lambda d=d: dyck.labeled_dyck_words(n, k, zeros=d) for d in range(n + 1)]
+    calls += [
+        lambda comp=comp: dyck.labeled_dyck_words(n, k, label_counts=comp)
+        for comp in _compositions(n, k + 1)
+    ]
+    for i in range(n + 1):
+        calls.append(lambda i=i: dyck.dyck_prefixes(n, i, k))
+        calls += [
+            lambda i=i, comp=comp: dyck.dyck_prefixes(n, i, k, comp)
+            for comp in _compositions(n - i, k + 1)
+        ]
+    if n <= 4:
+        calls.append(lambda: cyclic.extended_words(n, k))
+        calls += [lambda i=i: cyclic.prefix_extended_words(n, i, k) for i in range(n + 1)]
+        calls.append(lambda: dyck.doubly_labeled_dyck_words(n, k))
+    return calls
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(6) for k in (1, 2, 3)])
+def test_final_down_runs_match_the_node_walker(monkeypatch, n, k):
+    for enumerate_words in _enumerations(n, k):
+        fast, slow = _both_walkers(monkeypatch, enumerate_words, _node_walk)
+        assert fast == slow
+
+
+def _steps(steps, k):
+    return steps
+
+
+@pytest.mark.parametrize(
+    "prefix,up_total,down_total,k,pool,counts,floor",
+    [
+        ([], 0, 0, 2, (0, 0, 0), [0], 0),  # n = 0: the empty word
+        ([UP], 1, 0, 2, (0, 0, 0), [0], -1),  # extended word of n = 0
+        ([UP, UP, UP, 1], 3, 3, 2, (0, 0, 0), [2], 0),  # the root holds every up-step
+        ([UP, UP, UP, 1], 3, 3, 2, (0, 1, 2), [1, 1, 0], 0),
+        ([UP, UP, UP, 1], 3, 3, 2, (0, 1, 1), [0, 2], 0),
+        ([UP, UP, UP, 0], 3, 3, 2, (0, 1, 1), [0, 2], 0),  # class 1 has no label below the top
+        ([UP, UP, UP], 3, 3, 2, (0, 1, 1), [1, 2], 0),
+        ([], 3, 1, 2, (0, 0, 0), [1], 2),  # the end height meets the floor
+        ([], 3, 1, 2, (0, 0, 0), [1], 3),  # the end height is below the floor
+        ([], 2, 3, 2, (0, 0, 0), [3], 0),  # a word that cannot end at height 0
+        ([UP], 2, 4, 1, (0, 0), [4], -6),
+    ],
+)
+def test_final_down_run_edge_cases(prefix, up_total, down_total, k, pool, counts, floor):
+    args = (up_total, down_total, k, pool)
+    want = list(_node_walk(list(prefix), *args, list(counts), floor, _steps))
+    root, left = list(prefix), list(counts)
+    got = list(dyck._walk(root, *args, left, floor, _steps))
+    assert got == want
+    assert root == prefix and left == counts
+    if up_total - down_total < floor:
+        assert got == []
+
+
+def test_edge_cases_yield_words():
+    assert list(dyck.labeled_dyck_words(0, 2)) == [dyck.LabeledDyckWord((), 2)]
+    assert list(dyck._walk([UP, UP, UP, 1], 3, 3, 2, (0, 0, 0), [2], 0, _steps)) == [
+        (UP, UP, UP, 1, 1, 1),
+        (UP, UP, UP, 1, 1, 0),
+        (UP, UP, UP, 1, 0, 0),
+    ]
+    assert list(dyck._walk([UP, UP, UP, 1], 3, 3, 2, (0, 1, 2), [1, 1, 0], 0, _steps)) == [
+        (UP, UP, UP, 1, 1, 0),
+    ]
+    assert list(dyck._walk([UP, UP, UP, 0], 3, 3, 2, (0, 1, 1), [0, 2], 0, _steps)) == []
