@@ -6,17 +6,21 @@ by asserting exact divisibility (the divisibility itself is part of what the
 verification suites witness).  The printed right-hand sides are evaluated
 verbatim; homogeneity-corrected variants are provided separately so the
 verifier can report both.
+
+The defining sums of the coefficient lemmas are each one
+lidskii.dominant_sum call.  Every function reads an integral float such as
+3.0 as 3 and raises ValueError on any other non-integral argument.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 from typing import Sequence
 
 from .dyck import _label_counts, min_constrained_count
 from .graphs import NetFlow, _integers, caracol_graph, restrict
 from .kostant import count_flows
-from .lidskii import iter_dominant, multinomial
+from .lidskii import dominant_sum
 
 
 class InexactDivisionError(ValueError, ArithmeticError):
@@ -24,6 +28,9 @@ class InexactDivisionError(ValueError, ArithmeticError):
 
 
 def exact_div(numerator: int, denominator: int) -> int:
+    numerator, denominator = _integers((numerator, denominator), "exact_div argument")
+    if denominator == 0:
+        raise ValueError("exact_div needs a nonzero denominator")
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise InexactDivisionError(f"{numerator} is not divisible by {denominator}")
@@ -32,6 +39,7 @@ def exact_div(numerator: int, denominator: int) -> int:
 
 def multiset_coeff(n: int, m: int) -> int:
     """Number of size-m multisets over an n-set: C(n+m-1, m)."""
+    n, m = _integers((n, m), "multiset_coeff argument")
     if n < 0 or m < 0:
         raise ValueError("multiset_coeff needs nonnegative arguments")
     if n == 0:
@@ -40,6 +48,7 @@ def multiset_coeff(n: int, m: int) -> int:
 
 
 def catalan(j: int) -> int:
+    (j,) = _integers((j,), "catalan argument")
     if j < 0:
         raise ValueError("catalan needs a nonnegative argument")
     return comb(2 * j, j) // (j + 1)
@@ -48,12 +57,14 @@ def catalan(j: int) -> int:
 # -- Ehrhart-like polynomial values ------------------------------------------
 
 def ehrhart_ps_closed(n: int, k: int) -> int:
+    n, k = _integers((n, k), "ehrhart_ps_closed argument")
     if n < 2 or k < 1:
         raise ValueError("ehrhart_ps_closed requires n >= 2 and k >= 1")
     return exact_div(comb((k + 1) * n - 2, n), k * n - 1)
 
 
 def ehrhart_car_closed(n: int, k: int) -> int:
+    n, k = _integers((n, k), "ehrhart_car_closed argument")
     if n < 3 or k < 1:
         raise ValueError("ehrhart_car_closed requires n >= 3 and k >= 1")
     return exact_div(comb(k * n + 2 * n - 5, n - 1) * comb(n + k - 3, k - 1), k * n + n - 3)
@@ -69,6 +80,7 @@ def labeled_dyck_count(n: int, k: int, label_counts: Sequence[int]) -> int:
 
 def labeled_dyck_count_by_zeros(n: int, k: int, d: int) -> int:
     """Words of half-length n with exactly d down-steps labeled 0."""
+    n, k, d = _integers((n, k, d), "labeled_dyck_count_by_zeros argument")
     if not 0 <= d <= n:
         raise ValueError("d must lie in 0..n")
     return exact_div(
@@ -78,6 +90,7 @@ def labeled_dyck_count_by_zeros(n: int, k: int, d: int) -> int:
 
 def doubly_labeled_count(n: int, k: int) -> int:
     """Doubly labeled words of half-length n, in closed form."""
+    n, k = _integers((n, k), "doubly_labeled_count argument")
     if n < 0 or k < 1:
         raise ValueError("doubly_labeled_count requires n >= 0 and k >= 1")
     big = n + 1
@@ -89,6 +102,7 @@ def doubly_labeled_count(n: int, k: int) -> int:
 
 def doubly_labeled_count_via_sum(n: int, k: int) -> int:
     """Doubly labeled words counted label-channel by label-channel."""
+    n, k = _integers((n, k), "doubly_labeled_count_via_sum argument")
     if n < 0 or k < 1:
         raise ValueError("doubly_labeled_count_via_sum requires n >= 0 and k >= 1")
     return sum(
@@ -132,26 +146,17 @@ def tail_multinomial_sum(n: int, k: int, m: int) -> int:
         return 1
     # prefix sums of the target, shifted by the fixed head m against k
     t = (k + 1 - m,) + (1,) * (length - 1)
-    return sum(multinomial(n - m, s) for s in iter_dominant(n - m, length, t))
+    return dominant_sum(n - m, t, lambda s: 1)
 
 
 def dominant_power_sum(values: Sequence[int], m: int) -> int:
-    """Sum of multinomial(m; s) * prod values[i]^{s_i} over compositions s of
-    m dominating all-ones."""
+    """Sum of m! / prod s_i! * prod values[i]^{s_i} over compositions s of m
+    dominating all-ones."""
     vals = _integers(values, "power sum value")
     (m,) = _integers((m,), "power sum exponent")
     if m < 0:
         raise ValueError("m must be nonnegative")
-    k = len(vals)
-    if k == 0:
-        return 1 if m == 0 else 0
-    total = 0
-    for s in iter_dominant(m, k, (1,) * k):
-        term = multinomial(m, s)
-        for v, e in zip(vals, s):
-            term *= v**e
-        total += term
-    return total
+    return dominant_sum(m, (1,) * len(vals), lambda s: prod(map(pow, vals, s)))
 
 
 def dominant_power_sum_pair(m: int, a: int, b: int) -> int:
@@ -172,7 +177,7 @@ def dominant_power_sum_triple(m: int, a: int, b: int, c: int) -> int:
 
 def fan_flow_sum_closed(n: int, p: int, q: int, r: int) -> int:
     """Closed form of the fan-graph flow-count sum; needs p, q, r >= 1."""
-    _check_pqr(n, p, q, r)
+    n, p, q, r = _check_pqr(n, p, q, r, "fan_flow_sum_closed")
     if r < 1:
         raise ValueError("the closed form needs r >= 1 (use a defining sum at r = 0)")
     return (p + q - 1) * comb(n + p - 2, n - 1) * (n - 1) ** (r - 1) - comb(
@@ -182,38 +187,37 @@ def fan_flow_sum_closed(n: int, p: int, q: int, r: int) -> int:
 
 def fan_flow_sum_by_flows(n: int, p: int, q: int, r: int) -> int:
     """Defining sum: flow counts on the fan-plus-path restriction."""
-    _check_pqr(n, p, q, r)
+    n, p, q, r = _check_pqr(n, p, q, r, "fan_flow_sum_by_flows")
     inner = restrict(caracol_graph(n + 1), n + 1)
-    total = 0
-    for s in _pqr_tails(n, p, q, r):
-        net = NetFlow.with_sink((p - 1, q - 1) + tuple(si - 1 for si in s))
-        total += multinomial(r, s) * count_flows(inner, net)
-    return total
+    head = (p - 1, q - 1)
+    return dominant_sum(
+        r, _pqr_target(n, p, q),
+        lambda s: count_flows(inner, NetFlow.with_sink(head + tuple(si - 1 for si in s))),
+    )
 
 
 def fan_flow_sum_by_paths(n: int, p: int, q: int, r: int) -> int:
     """Same sum with each flow count replaced by a min-constrained path count."""
-    _check_pqr(n, p, q, r)
-    total = 0
-    for s in _pqr_tails(n, p, q, r):
-        total += multinomial(r, s) * min_constrained_count(n - 1, (q,) + s)
-    return total
+    n, p, q, r = _check_pqr(n, p, q, r, "fan_flow_sum_by_paths")
+    return dominant_sum(r, _pqr_target(n, p, q), lambda s: min_constrained_count(n - 1, (q,) + s))
 
 
-def _check_pqr(n: int, p: int, q: int, r: int) -> None:
+def _check_pqr(n: int, p: int, q: int, r: int, what: str) -> tuple[int, int, int, int]:
+    """(n, p, q, r) as ints, once each is in range; ValueError otherwise."""
+    n, p, q, r = _integers((n, p, q, r), f"{what} argument")
     if p < 1 or q < 1 or r < 0:
         raise ValueError("need p >= 1, q >= 1, r >= 0")
     if p + q + r != n:
         raise ValueError("p + q + r must equal n")
     if n < 3:
         raise ValueError("need n >= 3")
+    return n, p, q, r
 
 
-def _pqr_tails(n: int, p: int, q: int, r: int):
-    # compositions (s_3..s_n) of r with (p, q, s_3, ..., s_n) >= (1, ..., 1)
-    length = n - 2
-    t = (3 - p - q,) + (1,) * (length - 1)
-    return iter_dominant(r, length, t)
+def _pqr_target(n: int, p: int, q: int) -> tuple[int, ...]:
+    """The t whose dominant compositions of r are the tails (s_3..s_n) with
+    (p, q, s_3, ..., s_n) >= (1, ..., 1)."""
+    return (3 - p - q,) + (1,) * (n - 3)
 
 
 # -- printed volume formulas ---------------------------------------------------
@@ -229,6 +233,7 @@ def ps_volume_closed(
     m: int | None = None,
 ) -> int:
     """Printed right-hand sides for the path-family volumes, verbatim."""
+    n, a, b, c, d = _integers((n, a, b, c, d), "ps_volume_closed argument")
     if ident == "EQ1":
         _need(n >= 2, "EQ1 needs n >= 2")
         return a * (a + (n - 1) * b) ** (n - 2)
@@ -240,6 +245,7 @@ def ps_volume_closed(
     if ident == "EQ3":
         if m is None:
             raise ValueError("EQ3 needs the zero-block parameter m")
+        (m,) = _integers((m,), "ps_volume_closed argument")
         _need(1 <= m and n >= m + 2, "EQ3 needs 1 <= m and n >= m + 2")
         return a * sum(
             comb(n, j) * (c - (m + 1 - j) * b) ** j * (a + (n - 1 - j) * b) ** (n - j - 2)
@@ -262,6 +268,7 @@ def ps_volume_closed(
 
 def car_volume_closed(ident: str, n: int, a: int, b: int = 0, c: int = 0) -> int:
     """Printed right-hand sides for the caracol-family volumes, verbatim."""
+    n, a, b, c = _integers((n, a, b, c), "car_volume_closed argument")
     if ident == "EQ5":
         _need(n >= 3, "EQ5 needs n >= 3")
         return catalan(n - 2) * a**n * n ** (n - 2)
@@ -286,12 +293,14 @@ def car_volume_closed(ident: str, n: int, a: int, b: int = 0, c: int = 0) -> int
 
 def eq5_homogeneous(n: int, a: int) -> int:
     """EQ5 with the exponent fixed to the polytope dimension 2n-4."""
+    n, a = _integers((n, a), "eq5_homogeneous argument")
     _need(n >= 3, "needs n >= 3")
     return catalan(n - 2) * a ** (2 * n - 4) * n ** (n - 2)
 
 
 def eqconj_homogeneous(n: int, a: int, b: int, c: int) -> int:
     """EQCONJ with the leading exponent lowered to n-2 (degree 2n-4)."""
+    n, a, b, c = _integers((n, a, b, c), "eqconj_homogeneous argument")
     _need(n >= 3, "needs n >= 3")
     return (
         catalan(n - 2) * a ** (n - 2) * (a + b * (n - 1)) * (a + b + c * (n - 2)) ** (n - 3)
@@ -300,6 +309,7 @@ def eqconj_homogeneous(n: int, a: int, b: int, c: int) -> int:
 
 def ps3_closed(n: int, a: int, b: int, c: int) -> int:
     """Intro form of the (a, b, c^{n-2}) path-family volume."""
+    n, a, b, c = _integers((n, a, b, c), "ps3_closed argument")
     _need(n >= 3, "needs n >= 3")
     return (a + b - c) * (a + b + (n - 2) * c) ** (n - 2) + (-b + c) * (
         b + (n - 2) * c
@@ -308,6 +318,7 @@ def ps3_closed(n: int, a: int, b: int, c: int) -> int:
 
 def ps4_closed(n: int, a: int, b: int, c: int, d: int) -> int:
     """Intro form of the (a, b, c, d^{n-3}) path-family volume."""
+    n, a, b, c, d = _integers((n, a, b, c, d), "ps4_closed argument")
     _need(n >= 3, "needs n >= 3")
     return (
         (a + b + c - 2 * d) * (a + b + c + (n - 3) * d) ** (n - 2)

@@ -8,6 +8,7 @@ lists are.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable
 
 from ._record import Record
@@ -30,6 +31,9 @@ class DirectedStepGraph(Record):
             raise ValueError(f"vertex_count must be an int, got {vertex_count!r}")
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
+        # only an endpoint that is not an int makes the sum not an int: convert only then
+        if type(sum(chain(*edges))) is not int:
+            edges = tuple(_integers(edge, "edge endpoint") for edge in edges)
         for i, j in edges:
             if not (1 <= i < j <= vertex_count):
                 raise ValueError(f"edge ({i},{j}) violates 1 <= i < j <= {vertex_count}")
@@ -96,6 +100,8 @@ class FlowAssignment(Record):
     _fields = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
+        if type(sum(values)) is not int:
+            values = _integers(values, "flow value")
         if any(v < 0 for v in values):
             raise ValueError("flow values must be nonnegative")
         self.__dict__["values"] = values

@@ -14,7 +14,8 @@ and Vergne, Found. Comput. Math. 2004): kostant.weighted_sweep gives its
 transitions and the slots (i, e) they use, and volume_terms keeps them per
 graph.  A query computes a_i^e for those slots alone and makes one pass
 over the transitions; no composition is listed.  A kostant counter passed
-to volume instead sums the terms one composition at a time, one call each.
+to volume instead sums the terms one composition at a time, one call each,
+through dominant_sum, which the coefficient lemmas in closedforms share.
 Everything is exact integer arithmetic, the Ehrhart-like polynomial
 included: ehrhart_differences reads its Newton coefficients off the values
 at k = 1..d+1 by repeated subtraction, with no division.
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, prod
+from math import comb, factorial, prod
 from operator import sub
 from typing import Callable, Iterator, Sequence
 
@@ -61,7 +62,7 @@ def _dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, 
             yield ()
         return
     tsums = list(accumulate(t))
-    if total < tsums[-1]:
+    if total < max(tsums[-1], 0):
         return
     if length == 1:
         yield (total,)
@@ -92,15 +93,13 @@ def _dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, 
         parts[i] -= 1
 
 
-def multinomial(total: int, parts: Sequence[int]) -> int:
-    if sum(parts) != total:
-        raise ValueError("multinomial parts must sum to the total")
-    result = 1
-    remaining = total
-    for p in parts:
-        result *= comb(remaining, p)
-        remaining -= p
-    return result
+def dominant_sum(total: int, t: Sequence[int], term: Callable[[tuple[int, ...]], int]) -> int:
+    """Sum over s in iter_dominant(total, len(t), t) of total! / prod_i s_i!
+    times term(s).  iter_dominant checks the arguments before any factorial
+    is taken, so a non-integral one raises ValueError at the call."""
+    compositions = iter_dominant(total, len(t), t)
+    whole = factorial(max(int(total), 0))  # a negative total has no composition
+    return sum(whole // prod(map(factorial, s)) * term(s) for s in compositions)
 
 
 @lru_cache(maxsize=32)
@@ -153,9 +152,9 @@ def volume(
     nonnegative and every non-sink vertex has an out-edge, so a negative
     supply or a vertex without one raises ValueError.  By default the sum
     is one pass over volume_terms' table.  kostant, when given, replaces
-    count_flows as the flow counter of the restriction, and the sum is then
-    taken term by term: for each dominant composition s, the multinomial
-    times prod_i a_i^{s_i} times one call of kostant at s - t.
+    count_flows as the flow counter of the restriction, and dominant_sum
+    then takes the sum term by term: for each dominant composition s, the
+    multinomial times prod_i a_i^{s_i} times one call of kostant at s - t.
     """
     if len(flow) != graph.vertex_count:
         raise ValueError("net flow length must match the graph")
@@ -166,10 +165,9 @@ def volume(
     if kostant is None:
         table = volume_terms(graph)
         return _table_sum(table, [head[i] ** e for i, e in table.slots])
-    n, total, t, inner = _lidskii_setup(graph)
-    return sum(
-        multinomial(total, s) * prod(map(pow, head, s)) * kostant(inner, NetFlow(tuple(map(sub, s, t))))
-        for s in iter_dominant(total, n, t)
+    _, total, t, inner = _lidskii_setup(graph)
+    return dominant_sum(
+        total, t, lambda s: prod(map(pow, head, s)) * kostant(inner, NetFlow(tuple(map(sub, s, t))))
     )
 
 

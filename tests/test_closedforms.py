@@ -157,13 +157,50 @@ def test_power_sum_rejects_non_integer_values():
         (lambda: cf.dominant_power_sum_pair(2.5, 1, 1), "dominant_power_sum_pair argument 2.5"),
         (lambda: cf.dominant_power_sum_triple(3.5, 1, 1, 1),
          "dominant_power_sum_triple argument 3.5"),
+        (lambda: cf.ps_volume_closed("EQ1", 2.5, 1, 1), "ps_volume_closed argument 2.5"),
+        (lambda: cf.ps_volume_closed("EQ1", 3, 1.5, 1), "ps_volume_closed argument 1.5"),
+        (lambda: cf.ps_volume_closed("EQ3", 4, 1, 1, 1, m=1.5), "ps_volume_closed argument 1.5"),
+        (lambda: cf.car_volume_closed("EQ6", 3, 1.5, 1), "car_volume_closed argument 1.5"),
+        (lambda: cf.eq5_homogeneous(3, 0.5), "eq5_homogeneous argument 0.5"),
+        (lambda: cf.eqconj_homogeneous(3, 1, 1, 0.5), "eqconj_homogeneous argument 0.5"),
+        (lambda: cf.ps3_closed(3.5, 1, 1, 1), "ps3_closed argument 3.5"),
+        (lambda: cf.ps4_closed(3, 1, 1, 1, 0.5), "ps4_closed argument 0.5"),
+        (lambda: cf.multiset_coeff(2.5, 1), "multiset_coeff argument 2.5"),
+        (lambda: cf.catalan(2.5), "catalan argument 2.5"),
+        (lambda: cf.ehrhart_ps_closed(2.5, 1), "ehrhart_ps_closed argument 2.5"),
+        (lambda: cf.ehrhart_car_closed(3, 1.5), "ehrhart_car_closed argument 1.5"),
+        (lambda: cf.labeled_dyck_count_by_zeros(2, 1.5, 1), "labeled_dyck_count_by_zeros argument 1.5"),
+        (lambda: cf.doubly_labeled_count(2.5, 1), "doubly_labeled_count argument 2.5"),
+        (lambda: cf.doubly_labeled_count_via_sum(2, 1.5), "doubly_labeled_count_via_sum argument 1.5"),
+        (lambda: cf.fan_flow_sum_closed(4, 1.5, 1.5, 1), "fan_flow_sum_closed argument 1.5"),
+        (lambda: cf.fan_flow_sum_by_flows(4, 1.5, 1.5, 1), "fan_flow_sum_by_flows argument 1.5"),
+        (lambda: cf.fan_flow_sum_by_paths(4, 1.5, 1.5, 1), "fan_flow_sum_by_paths argument 1.5"),
+        (lambda: cf.exact_div(3, 1.5), "exact_div argument 1.5"),
     ],
-    ids=["tail_multinomial_closed", "tail_multinomial_sum", "power_sum_pair", "power_sum_triple"],
+    ids=["tail_multinomial_closed", "tail_multinomial_sum", "power_sum_pair", "power_sum_triple",
+         "ps_volume_n", "ps_volume_b", "ps_volume_m", "car_volume", "eq5_homogeneous",
+         "eqconj_homogeneous", "ps3", "ps4", "multiset_coeff", "catalan", "ehrhart_ps",
+         "ehrhart_car", "by_zeros", "doubly_labeled", "doubly_labeled_via_sum", "fan_closed",
+         "fan_by_flows", "fan_by_paths", "exact_div"],
 )
 def test_closed_forms_reject_non_integers(call, message):
-    # the closed forms returned a plausible number, the tail sum a TypeError
+    # the closed forms returned a plausible number (the printed volume forms
+    # a float), the defining sums and the counting forms a TypeError
     with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
         call()
+
+
+def test_closed_forms_read_integral_floats():
+    assert cf.catalan(3.0) == cf.catalan(3) == 5
+    assert cf.ps_volume_closed("EQ1", 4.0, 2, 1.0) == cf.ps_volume_closed("EQ1", 4, 2, 1)
+    assert cf.fan_flow_sum_by_paths(4.0, 2, 1, 1) == cf.fan_flow_sum_closed(4, 2, 1, 1) == 5
+    assert type(cf.exact_div(4.0, 2)) is int
+
+
+def test_exact_div_by_zero_is_a_value_error():
+    # it raised ZeroDivisionError, which the CLI does not map to exit 2
+    with pytest.raises(ValueError, match="^exact_div needs a nonzero denominator$"):
+        cf.exact_div(1, 0)
 
 
 def test_fan_flow_sum():

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from flowvol.graphs import (
     DirectedStepGraph,
+    FlowAssignment,
     NetFlow,
     augment,
     caracol_graph,
@@ -11,6 +12,7 @@ from flowvol.graphs import (
     pitman_stanley_graph,
     restrict,
 )
+from flowvol.kostant import count_flows
 from flowvol.lidskii import ehrhart_like
 
 
@@ -117,6 +119,22 @@ def test_net_flow_sum_checked():
 def test_vertex_count_must_be_an_int():
     with pytest.raises(ValueError, match="vertex_count must be an int, got 2.0"):
         DirectedStepGraph(2.0, ((1, 2),))
+
+
+def test_graph_records_reject_non_integral_values():
+    # the edge passed the range check and count_flows returned 0
+    with pytest.raises(ValueError, match="^edge endpoint 2.5 is not an integer$"):
+        count_flows(DirectedStepGraph(3, ((1, 2.5), (1, 3))), NetFlow((2, 0, -2)))
+    with pytest.raises(ValueError, match="^flow value 0.5 is not an integer$"):
+        FlowAssignment((0.5,))
+
+
+def test_graph_records_read_integral_floats():
+    # out_degrees raised TypeError on the 2.0 endpoint
+    graph = DirectedStepGraph(3, ((1, 2.0), (2.0, 3)))
+    assert graph == DirectedStepGraph(3, ((1, 2), (2, 3)))
+    assert graph.out_degrees() == (1, 1, 0)
+    assert FlowAssignment((1.0, 0)).values == (1, 0)
 
 
 def test_net_flow_rejects_non_integral_entries():

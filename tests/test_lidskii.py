@@ -24,10 +24,10 @@ from flowvol.graphs import (
 from flowvol.kostant import count_flows
 from flowvol import kostant, lidskii
 from flowvol.lidskii import (
+    dominant_sum,
     ehrhart_differences,
     ehrhart_like,
     iter_dominant,
-    multinomial,
     unit_flow_volume,
     volume,
 )
@@ -108,10 +108,59 @@ def test_dominant_compositions_match_filterful_enumeration():
         assert got == sorted(got, reverse=True)
 
 
-def test_multinomial():
-    assert multinomial(4, (2, 1, 1)) == 12
-    with pytest.raises(ValueError):
-        multinomial(3, (1, 1))
+def _brute_dominant_sum(total, t, term):
+    """dominant_sum's reference: every composition from product, kept when
+    each prefix sum reaches t's, weighted by factorials."""
+    total_sum = 0
+    for s in product(range(total + 1), repeat=len(t)):
+        if sum(s) == total and all(sum(s[:i]) >= sum(t[:i]) for i in range(1, len(t) + 1)):
+            total_sum += factorial(total) // prod(map(factorial, s)) * term(s)
+    return total_sum
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=8),
+    st.lists(st.integers(min_value=-2, max_value=3), max_size=5),
+)
+def test_dominant_sum_matches_the_brute_force_sum(total, t):
+    # distinct primes to the powers s_i, so each composition has its own term
+    def term(s):
+        return prod(map(pow, (2, 3, 5, 7, 11), s))
+
+    assert dominant_sum(total, t, term) == _brute_dominant_sum(total, t, term)
+    assert dominant_sum(total, t, lambda s: 1) == _brute_dominant_sum(total, t, lambda s: 1)
+
+
+def test_dominant_sum_examples():
+    # the multinomial theorem: (1 + 1 + 1)^4 over every composition of 4
+    assert dominant_sum(4, (0, 0, 0), lambda s: 1) == 3**4
+    # (4, 0, 0), (3, 1, 0), (3, 0, 1), (2, 2, 0) and (2, 1, 1) dominate (2, 1, 1)
+    assert dominant_sum(4, (2, 1, 1), lambda s: 1) == 1 + 4 + 4 + 6 + 12
+    assert dominant_sum(0, (), lambda s: 7) == 7
+    assert dominant_sum(1, (), lambda s: 7) == 0
+    assert dominant_sum(3.0, (1.0, 1), lambda s: 1) == dominant_sum(3, (1, 1), lambda s: 1)
+
+
+@pytest.mark.parametrize(
+    ("total", "t", "message"),
+    [(2.5, (0, 0), "iter_dominant argument 2.5"), (2, (0.5, 0), "iter_dominant t entry 0.5")],
+    ids=["total", "t"],
+)
+def test_dominant_sum_rejects_non_integers(total, t, message):
+    # the arguments are checked before any factorial or term is computed
+    def term(s):
+        raise AssertionError("term called")
+
+    with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        dominant_sum(total, t, term)
+
+
+@pytest.mark.parametrize("t", [(), (-2,), (-3, 0), (-1, -1, -1), (-5, 0, 0, 0)])
+def test_a_negative_total_has_no_composition(t):
+    # iter_dominant(-1, 1, (-2,)) yielded (-1,), a part below 0
+    assert list(iter_dominant(-1, len(t), t)) == []
+    assert dominant_sum(-1, t, lambda s: 1) == 0
 
 
 def test_volume_ps4():
@@ -222,7 +271,7 @@ def test_volume_table_paths_spell_the_dominant_compositions(name):
     for s in iter_dominant(total, n, t):
         flows = count_flows(inner, NetFlow(tuple(a - b for a, b in zip(s, t))))
         if flows:
-            expected[s] = multinomial(total, s) * flows
+            expected[s] = factorial(total) // prod(map(factorial, s)) * flows
     assert coefficients == expected
 
 
@@ -329,7 +378,7 @@ def _dense_volume(graph, flow):
     for s in iter_dominant(m - n, n, t):
         flows = count_flows(inner, NetFlow(tuple(si - ti for si, ti in zip(s, t))))
         if flows:
-            terms.append((s, multinomial(m - n, s) * flows))
+            terms.append((s, factorial(m - n) // prod(map(factorial, s)) * flows))
     top = graph.edge_count - graph.vertex_count + 1
     powers = [[a**e for e in range(top + 1)] for a in flow.values[:-1]]
     return sum(coeff * prod(map(getitem, powers, s)) for s, coeff in terms)
@@ -390,7 +439,8 @@ def _flat_volumes(graph, heads):
     """volume(graph, ., count_flows) at each head, with the flow counts of
     the terms computed once for all heads."""
     n, total, t, inner = lidskii._lidskii_setup(graph)
-    terms = [(s, multinomial(total, s) * count_flows(inner, NetFlow(tuple(a - b for a, b in zip(s, t)))))
+    terms = [(s, factorial(total) // prod(map(factorial, s))
+              * count_flows(inner, NetFlow(tuple(a - b for a, b in zip(s, t)))))
              for s in iter_dominant(total, n, t)]
     return [sum(coeff * prod(map(pow, head, s)) for s, coeff in terms) for head in heads]
 
