@@ -18,7 +18,7 @@ import argparse
 import sys
 
 from . import cyclic, dyck, verify
-from .ctengine import evaluate, evaluate_series, flow_count_expression, parse_ct_expression
+from .ctengine import ct_volume, evaluate, evaluate_series, parse_ct_expression
 from .graphs import parse_graph_spec, parse_net_flow
 from .kostant import count_flows
 from .lidskii import ehrhart_like, volume
@@ -122,8 +122,8 @@ def _cmd_volume(args) -> int:
     flow = parse_net_flow(args.flow, graph.vertex_count)
     return _run_paths(args.method, {
         "kpf": lambda: volume(graph, flow),
-        # the same Lidskii sum, with its flow counts taken as constant terms
-        "ct": lambda: volume(graph, flow, lambda g, f: evaluate(flow_count_expression(g, f))),
+        # the same Lidskii sum, taken as one constant term
+        "ct": lambda: ct_volume(graph, flow),
     })
 
 

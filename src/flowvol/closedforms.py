@@ -7,20 +7,20 @@ verification suites witness).  The printed right-hand sides are evaluated
 verbatim; homogeneity-corrected variants are provided separately so the
 verifier can report both.
 
-The defining sums of the coefficient lemmas are each one
-lidskii.dominant_sum call.  Every function reads an integral float such as
-3.0 as 3 and raises ValueError on any other non-integral argument.
+The defining sums of the coefficient lemmas are each one dominant_sum
+call, and they are its only callers.  Every function reads an integral
+float such as 3.0 as 3 and raises ValueError on any other non-integral one.
 """
 
 from __future__ import annotations
 
-from math import comb, prod
-from typing import Sequence
+from math import comb, factorial, prod
+from typing import Callable, Sequence
 
 from .dyck import _label_counts, min_constrained_count
 from .graphs import NetFlow, _integers, caracol_graph, restrict
 from .kostant import count_flows
-from .lidskii import dominant_sum
+from .lidskii import iter_dominant
 
 
 class InexactDivisionError(ValueError, ArithmeticError):
@@ -124,6 +124,15 @@ def prefix_count_closed(n: int, i: int, k: int, label_counts: Sequence[int]) -> 
 
 
 # -- coefficient lemmas behind the volume formulas ----------------------------
+
+def dominant_sum(total: int, t: Sequence[int], term: Callable[[tuple[int, ...]], int]) -> int:
+    """Sum over s in iter_dominant(total, len(t), t) of total! / prod_i s_i!
+    times term(s).  iter_dominant checks the arguments before any factorial
+    is taken, so a non-integral one raises ValueError at the call."""
+    compositions = iter_dominant(total, len(t), t)
+    whole = factorial(max(int(total), 0))  # a negative total has no composition
+    return sum(whole // prod(map(factorial, s)) * term(s) for s in compositions)
+
 
 def tail_multinomial_closed(n: int, k: int, m: int) -> int:
     """Closed count of the dominance-constrained tail compositions."""

@@ -15,7 +15,11 @@ exactly on the l of the diffs leaving v, the rest going to v's pow factor
 of budgets pushed so far into the later variables, one entry per variable
 that some earlier diff enters, and the sweep keeps a dict from that
 vector to the number of ways of reaching it.  A variable's entry leaves
-the state when the sweep reaches it.
+the state when the sweep reaches it.  _plan fixes every position from the
+factors once; _sweep, the one loop, runs the pure transforms _open, _spend
+and _close.  ct_volume sweeps the Lidskii volume sum as one constant term,
+R, what is left of m-n, in a reserved entry that _draw spends (Baldoni, De
+Loera and Vergne, Found. Comput. Math. 2004).
 
 The series oracle expands truncated Laurent series at a cap derived from
 the expression alone.  Let B_v = max(0, -monomial[v] + sum of B_i + 1 over
@@ -34,11 +38,12 @@ x_v, so such a term never reaches the constant term in x_v.
 
 from __future__ import annotations
 
-from itertools import chain
+from functools import partial
+from itertools import chain, repeat
 from math import comb
 
 from ._record import Record
-from .graphs import DirectedStepGraph, NetFlow, _integers
+from .graphs import DirectedStepGraph, NetFlow, _integers, _volume_head
 
 
 class SeriesUnstableError(ValueError, ArithmeticError):
@@ -83,60 +88,107 @@ class CTExpression(Record):
 
 
 def evaluate(expr: CTExpression) -> int:
-    """Exact iterated constant term by a forward sweep over the variables,
-    whose state is the vector of budgets pending at the later variables."""
-    n = expr.nvars
-    powk = [0] * (n + 1)
+    """Exact iterated constant term by one forward sweep over the variables."""
+    return _sweep(_plan(expr), {(): 1}, repeat(_open)).get((), 0)
+
+
+def ct_volume(graph: DirectedStepGraph, flow: NetFlow) -> int:
+    """Normalized volume as the constant term of x^(t + indeg) * (sum_i
+    a_i/x_i)^(m-n) * prod (x_j - x_i)^-1 over the restriction to the first n
+    vertices (t: out-degrees less 1), with lidskii.volume's input checks."""
+    head = _volume_head(graph, flow)
+    n = len(head)
+    inner = tuple(edge for edge in graph.edges if edge[1] <= n)
+    ends = [j for _, j in inner]
+    monomial = tuple(d - 1 + ends.count(v) for v, d in enumerate(graph.out_degrees()[:n], 1))
+    plan = _plan(CTExpression(n, monomial, diff_factors=inner), reserved=1)
+    return _sweep(plan, {(graph.edge_count - n,): 1}, [partial(_draw, a=a) for a in head]).get((0,), 0)
+
+
+def _plan(expr: CTExpression, reserved: int = 0) -> list:
+    """One step (shift, p, spends, k) per variable v: shift = -monomial[v], p
+    the position of v's pending budget (-1 if none), one (q, grow, exact) per
+    diff leaving v, and v's pow multiplicity; `reserved` positions lead."""
+    powk, highs = [0] * (expr.nvars + 1), [[] for _ in range(expr.nvars + 1)]
     for i, k in expr.pow_factors:
         powk[i] += k
-    highs: list[list[int]] = [[] for _ in range(n + 1)]
     for i, j in expr.diff_factors:
         highs[i].append(j)
     # live[c] is the later variable whose pending budget is entry c of a state
-    live: list[int] = []
-    states: dict[tuple[int, ...], int] = {(): 1}
-    for v in range(1, n + 1):
-        # v's own budget, still to be spent, goes to the front of the state
-        shift = -expr.monomial[v - 1]
-        opened: dict[tuple[int, ...], int] = {}
-        if v in live:
-            p = live.index(v)
+    live = [0] * reserved
+    plan = []
+    for v in range(1, expr.nvars + 1):
+        p = live.index(v) if v in live else -1
+        if p >= 0:
             del live[p]
-            for state, count in states.items():
-                budget = shift + state[p]
-                if budget >= 0:
-                    opened[(budget,) + state[:p] + state[p + 1 :]] = count
-        elif shift >= 0:
-            opened = {(shift,) + state: count for state, count in states.items()}
-        states = opened
+        spends = []
         for idx, j in enumerate(highs[v]):
-            if j not in live:
+            grow = j not in live
+            if grow:
                 live.append(j)
-                states = {state + (0,): count for state, count in states.items()}
-            q = live.index(j) + 1
             # without a pow factor the last diff takes the whole remainder
-            exact = not powk[v] and idx == len(highs[v]) - 1
-            spent: dict[tuple[int, ...], int] = {}
-            for state, count in states.items():
-                budget = state[0]
-                base = state[q]
-                s = list(state)
-                for l in (budget,) if exact else range(budget + 1):
-                    s[0] = budget - l
-                    s[q] = base + l + 1
-                    key = tuple(s)
-                    spent[key] = spent.get(key, 0) + count
-            states = spent
-        closed: dict[tuple[int, ...], int] = {}
-        for state, count in states.items():
-            weight = _multiset(powk[v], state[0])
-            if weight:
-                key = state[1:]
-                closed[key] = closed.get(key, 0) + count * weight
-        states = closed
-        if not states:
-            return 0
-    return states.get((), 0)
+            spends.append((live.index(j) + 1, grow, not powk[v] and idx == len(highs[v]) - 1))
+        plan.append((-expr.monomial[v - 1], p, spends, powk[v]))
+    return plan
+
+
+def _sweep(plan: list, states: dict, opens) -> dict:
+    """The states after the plan's steps, variable v opened by opens' v-th."""
+    for (shift, p, spends, k), open_ in zip(plan, opens):
+        states = open_(states, shift, p)
+        for spend in spends:
+            states = _spend(states, *spend)
+        states = _close(states, k)
+    return states
+
+
+def _open(states, shift, p):
+    """Put v's budget, shift plus its pending entry at position p (none if
+    p < 0), at the front of each state; a negative budget ends the term."""
+    if p < 0:
+        return {(shift,) + state: count for state, count in states.items()} if shift >= 0 else {}
+    return {(budget,) + state[:p] + state[p + 1 :]: count
+            for state, count in states.items() if (budget := shift + state[p]) >= 0}
+
+
+def _draw(states, shift, p, a):
+    """_open after drawing x_v^-s, s in 0..R, from (sum_i a_i/x_i)^R at entry 0
+    with weight comb(R, s) * a^s; s can cover a negative shift."""
+    out: dict[tuple[int, ...], int] = {}
+    for state, count in states.items():
+        left = state[0]
+        base, rest = (shift, state[1:]) if p < 0 else (shift + state[p], state[1:p] + state[p + 1 :])
+        for s in range(max(0, -base), (left if a else 0) + 1):
+            key = (base + s, left - s) + rest
+            out[key] = out.get(key, 0) + count * comb(left, s) * a**s
+    return out
+
+
+def _spend(states, q, grow, exact):
+    """Spend l of the front budget on a diff leaving v, pushing l + 1 into
+    position q (a new one if grow): every l up to the budget, or all if exact."""
+    out: dict[tuple[int, ...], int] = {}
+    for state, count in states.items():
+        s = [*state, 0] if grow else list(state)
+        budget, base = s[0], s[q]
+        for l in (budget,) if exact else range(budget + 1):
+            s[0] = budget - l
+            s[q] = base + l + 1
+            key = tuple(s)
+            out[key] = out.get(key, 0) + count
+    return out
+
+
+def _close(states, k):
+    """Close v: the front budget r goes to its pow factor of multiplicity k,
+    in comb(k + r - 1, r) ways, and must be 0 without one."""
+    if not k:
+        return {state[1:]: count for state, count in states.items() if not state[0]}
+    out: dict[tuple[int, ...], int] = {}
+    for state, count in states.items():
+        key = state[1:]
+        out[key] = out.get(key, 0) + count * _multiset(k, state[0])
+    return out
 
 
 def evaluate_series_oracle(expr: CTExpression, degree_cap: int) -> int:

@@ -162,6 +162,26 @@ def restrict(graph: DirectedStepGraph, upto: int) -> DirectedStepGraph:
     return DirectedStepGraph(upto, edges)
 
 
+def _check_out_edges(degrees: tuple[int, ...], what: str) -> None:
+    """Raise ValueError naming the first non-sink vertex of out-degree 0."""
+    if 0 in degrees[:-1]:
+        vertex = degrees.index(0) + 1
+        raise ValueError(f"{what} needs an out-edge at every non-sink vertex; vertex {vertex} has none")
+
+
+def _volume_head(graph: DirectedStepGraph, flow: NetFlow) -> tuple[int, ...]:
+    """A volume query's non-sink supplies; ValueError where the Lidskii sum is not the volume."""
+    if len(flow) != graph.vertex_count:
+        raise ValueError("net flow length must match the graph")
+    head = flow.values[:-1]
+    if any(a < 0 for a in head):
+        raise ValueError("volume needs nonnegative supplies on every non-sink vertex")
+    _check_out_edges(graph.out_degrees(), "volume")
+    if not head:
+        raise ValueError("volume needs at least two vertices")
+    return head
+
+
 def parse_graph_spec(text: str) -> DirectedStepGraph:
     """Parse the graph grammar: ``ps:<v>``, ``car:<v>``, ``aug:<k>:<inner>``,
     or explicit ``<N>:<i>-<j>,<i>-<j>,...`` (repeated pairs allowed).

@@ -13,12 +13,11 @@ of the restriction's cut states with R carried along (Baldoni, De Loera
 and Vergne, Found. Comput. Math. 2004): kostant.weighted_sweep gives its
 transitions and the slots (i, e) they use, and volume_terms keeps them per
 graph.  A query computes a_i^e for those slots alone and makes one pass
-over the transitions; no composition is listed.  A kostant counter passed
-to volume instead sums the terms one composition at a time, one call each,
-through dominant_sum, which the coefficient lemmas in closedforms share.
-Everything is exact integer arithmetic, the Ehrhart-like polynomial
-included: ehrhart_differences reads its Newton coefficients off the values
-at k = 1..d+1 by repeated subtraction, with no division.
+over the transitions; no composition is listed.  ctengine.ct_volume, the
+independent witness, takes the sum as one constant term.  Everything is
+exact integer arithmetic, the Ehrhart-like polynomial included:
+ehrhart_differences reads its Newton coefficients off the values at k =
+1..d+1 by repeated subtraction, with no division.
 
 The sum is the volume only when every non-sink vertex has an out-edge
 (the shifted out-degree of such a vertex would be -1), so volume,
@@ -29,11 +28,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, factorial, prod
+from math import comb
 from operator import sub
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .graphs import DirectedStepGraph, NetFlow, _integers, augment, restrict
+from .graphs import DirectedStepGraph, NetFlow, _check_out_edges, _integers, _volume_head, augment, restrict
 from .kostant import SweepTable, count_flows, weighted_sweep
 
 def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
@@ -93,15 +92,6 @@ def _dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, 
         parts[i] -= 1
 
 
-def dominant_sum(total: int, t: Sequence[int], term: Callable[[tuple[int, ...]], int]) -> int:
-    """Sum over s in iter_dominant(total, len(t), t) of total! / prod_i s_i!
-    times term(s).  iter_dominant checks the arguments before any factorial
-    is taken, so a non-integral one raises ValueError at the call."""
-    compositions = iter_dominant(total, len(t), t)
-    whole = factorial(max(int(total), 0))  # a negative total has no composition
-    return sum(whole // prod(map(factorial, s)) * term(s) for s in compositions)
-
-
 @lru_cache(maxsize=32)
 def volume_terms(graph: DirectedStepGraph) -> SweepTable:
     """The graph's Lidskii sum as kostant.weighted_sweep's transitions on
@@ -111,22 +101,15 @@ def volume_terms(graph: DirectedStepGraph) -> SweepTable:
     ValueError instead of being returned.  The tables of the 32 most
     recently used graphs stay cached; a table is immutable, so concurrent
     callers may share it."""
-    n, total, t, inner = _lidskii_setup(graph)
+    n = graph.vertex_count - 1
+    total, t = graph.edge_count - n, tuple(d - 1 for d in graph.out_degrees()[:n])
+    inner = restrict(graph, n)
     table = weighted_sweep(inner, total, t)
     lone = count_flows(inner, NetFlow((total - t[0],) + tuple(-x for x in t[1:])))
     head = (1,) + (0,) * (n - 1)
     if _table_sum(table, [head[i] ** e for i, e in table.slots]) != lone:
         raise ValueError("the volume table disagrees with count_flows at a = (1, 0, ..., 0)")
     return table
-
-
-def _lidskii_setup(graph: DirectedStepGraph) -> tuple[int, int, tuple[int, ...], DirectedStepGraph]:
-    """(n, m-n, t, restriction to the first n vertices) of the Lidskii sum."""
-    n = graph.vertex_count - 1
-    if n < 1:
-        raise ValueError("volume needs at least two vertices")
-    t = tuple(d - 1 for d in graph.out_degrees()[:n])
-    return n, graph.edge_count - n, t, restrict(graph, n)
 
 
 def _table_sum(table: SweepTable, values: Sequence[int]) -> int:
@@ -140,42 +123,13 @@ def _table_sum(table: SweepTable, values: Sequence[int]) -> int:
     return sums[-1]
 
 
-def volume(
-    graph: DirectedStepGraph,
-    flow: NetFlow,
-    kostant: Callable[[DirectedStepGraph, NetFlow], int] | None = None,
-) -> int:
-    """Normalized volume of the flow polytope; the sink entry of the flow is
-    not used by the sum.
-
-    The Lidskii sum is the volume only while every non-sink supply is
-    nonnegative and every non-sink vertex has an out-edge, so a negative
-    supply or a vertex without one raises ValueError.  By default the sum
-    is one pass over volume_terms' table.  kostant, when given, replaces
-    count_flows as the flow counter of the restriction, and dominant_sum
-    then takes the sum term by term: for each dominant composition s, the
-    multinomial times prod_i a_i^{s_i} times one call of kostant at s - t.
-    """
-    if len(flow) != graph.vertex_count:
-        raise ValueError("net flow length must match the graph")
-    head = flow.values[:-1]
-    if any(a < 0 for a in head):
-        raise ValueError("volume needs nonnegative supplies on every non-sink vertex")
-    _check_out_edges(graph.out_degrees(), "volume")
-    if kostant is None:
-        table = volume_terms(graph)
-        return _table_sum(table, [head[i] ** e for i, e in table.slots])
-    _, total, t, inner = _lidskii_setup(graph)
-    return dominant_sum(
-        total, t, lambda s: prod(map(pow, head, s)) * kostant(inner, NetFlow(tuple(map(sub, s, t))))
-    )
-
-
-def _check_out_edges(degrees: tuple[int, ...], what: str) -> None:
-    """Raise ValueError naming the first non-sink vertex of out-degree 0."""
-    if 0 in degrees[:-1]:
-        vertex = degrees.index(0) + 1
-        raise ValueError(f"{what} needs an out-edge at every non-sink vertex; vertex {vertex} has none")
+def volume(graph: DirectedStepGraph, flow: NetFlow) -> int:
+    """Normalized volume of the flow polytope, as one pass over
+    volume_terms' table; the sink entry of the flow is not used by the sum,
+    and graphs._volume_head rejects inputs where the sum is not the volume."""
+    head = _volume_head(graph, flow)
+    table = volume_terms(graph)
+    return _table_sum(table, [head[i] ** e for i, e in table.slots])
 
 
 def unit_flow_volume(graph: DirectedStepGraph) -> int:

@@ -1,12 +1,14 @@
+import inspect
 import json
+import re
 from math import comb
 
 import pytest
 
-from flowvol import cli, closedforms as cf, dyck, kostant, lidskii
+from flowvol import cli, closedforms as cf, ctengine, dyck, kostant, lidskii
 from flowvol.cli import main
-from flowvol.ctengine import SeriesUnstableError, flow_count_expression, format_ct_expression
-from flowvol.graphs import parse_graph_spec, parse_net_flow
+from flowvol.ctengine import SeriesUnstableError, ct_volume, flow_count_expression, format_ct_expression
+from flowvol.graphs import DirectedStepGraph, NetFlow, parse_graph_spec, parse_net_flow
 
 # a unit supply at the start of the 400-vertex Pitman-Stanley graph, with one
 # flow per path to the sink: a sweep that recursed once per vertex would
@@ -62,7 +64,7 @@ def test_volume_all_methods(capsys):
 
 
 def test_volume_all_methods_reports_disagreement(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "evaluate", lambda expr: 0)
+    monkeypatch.setattr(cli, "ct_volume", lambda graph, flow: 0)
     code, out, _ = run_cli(
         capsys, "volume", "--graph", "ps:4", "--flow", "1,1,1", "--method", "all"
     )
@@ -92,6 +94,28 @@ def test_volume_all_methods_catch_parallel_edges_counted_once(capsys, monkeypatc
     assert (code, out) == (1, "kpf=33924\nct=48077\nDISAGREE\n")
 
 
+def test_volume_all_methods_catch_a_planted_shift_in_the_table(capsys, monkeypatch):
+    # t[0] + 1, t[1] - 1 where lidskii computes the shifted out-degrees t, in
+    # a copy of the module: the table and its own check at a = (1, 0, ..., 0)
+    # move together, and the ct route, which computes t itself, does not
+    line = "tuple(d - 1 for d in graph.out_degrees()[:n])"
+    source = inspect.getsource(lidskii)
+    assert source.count(line) == 1
+    planted = {"__name__": lidskii.__name__, "__package__": lidskii.__package__,
+               "_plant": lambda t: (t[0] + 1, t[1] - 1) + t[2:]}
+    exec(compile(source.replace(line, f"_plant({line})"), lidskii.__file__, "exec"), planted)
+    monkeypatch.setattr(cli, "volume", planted["volume"])
+    code, out, _ = run_cli(capsys, "volume", "--graph", "car:5", "--flow", "1,2,2,2", "--method", "all")
+    assert (code, out) == (1, "kpf=18\nct=98\nDISAGREE\n")
+
+
+def test_volume_all_methods_catch_a_planted_draw_weight(capsys, monkeypatch):
+    # comb(R + 1, s) for comb(R, s) in the ct route's draw from (sum a_i/x_i)^R
+    monkeypatch.setattr(ctengine, "comb", lambda r, s: comb(r + 1, s))
+    code, out, _ = run_cli(capsys, "volume", "--graph", "car:5", "--flow", "1,2,2,2", "--method", "all")
+    assert (code, out) == (1, "kpf=98\nct=490\nDISAGREE\n")
+
+
 def test_volume_rejects_negative_supply(capsys):
     code, out, err = run_cli(capsys, "volume", "--graph", "ps:4", "--flow=-1,2,1")
     assert (code, out) == (2, "")
@@ -109,6 +133,27 @@ def test_graph_with_a_non_sink_vertex_without_out_edges_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "has none" in err
+
+
+@pytest.mark.parametrize(("graph", "flow", "message"), [
+    (parse_graph_spec("ps:4"), (1, 1, -2), "net flow length must match the graph"),
+    (parse_graph_spec("car:4"), (1, -1, 1, -1), "volume needs nonnegative supplies on every non-sink vertex"),
+    (parse_graph_spec("4:1-2,2-4,1-3,1-4,2-4"), (2, 1, 0, -3),
+     "volume needs an out-edge at every non-sink vertex; vertex 3 has none"),
+    (DirectedStepGraph(1, ()), (0,), "volume needs at least two vertices"),
+], ids=["length", "negative", "out-edge", "one-vertex"])
+def test_both_volume_routes_reject_the_same_inputs(capsys, monkeypatch, graph, flow, message):
+    for route in (lidskii.volume, ct_volume):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            route(graph, NetFlow(flow))
+    # the parser refuses the first and last inputs itself, so they are
+    # passed in; with the table route planted to return 0, the ct route
+    # alone raises
+    monkeypatch.setattr(cli, "parse_graph_spec", lambda text: graph)
+    monkeypatch.setattr(cli, "parse_net_flow", lambda text, count: NetFlow(flow))
+    monkeypatch.setattr(cli, "volume", lambda graph, flow: 0)
+    code, out, err = run_cli(capsys, "volume", "--graph", "-", "--flow", "0", "--method", "all")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_ehrhart_ps(capsys):
@@ -156,7 +201,7 @@ def _refuse_series(expr):
 @pytest.mark.parametrize(
     ("module", "target", "replacement", "argv"),
     [
-        (cli, "evaluate", _refuse, ["volume", "--graph", "ps:4", "--flow", "1,1,1"]),
+        (cli, "ct_volume", _refuse, ["volume", "--graph", "ps:4", "--flow", "1,1,1"]),
         (dyck, "labeled_dyck_words", _refuse, ["ehrhart", "--family", "ps", "--n", "3", "--k", "2"]),
         (cli, "evaluate_series", _refuse_series, ["ct", "--expr", "m:-1,0; p:1^1,2^1; d:1-2"]),
     ],

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import random
 
 import pytest
@@ -268,13 +270,22 @@ def test_evaluate_matches_series_on_negative_monomials(expr):
 
 
 def test_series_cap_never_consults_evaluate(monkeypatch):
-    def refuse(expr):
+    # nor evaluate's plan, or the two ct witnesses would share their sweep
+    def refuse(*args, **kwargs):
         raise AssertionError("the series oracle called evaluate")
 
     monkeypatch.setattr(ctengine, "evaluate", refuse)
+    monkeypatch.setattr(ctengine, "_plan", refuse)
     assert evaluate_series(BUDGET_WIDER_THAN_MONOMIAL) == 120
     assert evaluate_series(DIFF_AT_FULL_BUDGET) == 1
     assert evaluate_series(car_ct_expression(5, 2)) == ehrhart_car_closed(6, 2)
+
+
+def test_the_engine_imports_neither_flow_count_module():
+    # ct_volume witnesses the table of kostant's sweep, set up by lidskii
+    tree = ast.parse(inspect.getsource(ctengine))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported.isdisjoint({"kostant", "lidskii", "flowvol.kostant", "flowvol.lidskii"})
 
 
 def _unpruned_series_value(expr, cap):

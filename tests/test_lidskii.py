@@ -11,8 +11,8 @@ from operator import getitem
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flowvol.closedforms import catalan, ehrhart_car_closed, ehrhart_ps_closed, ps_volume_closed
-from flowvol.ctengine import evaluate, flow_count_expression
+from flowvol.closedforms import catalan, dominant_sum, ehrhart_car_closed, ehrhart_ps_closed, ps_volume_closed
+from flowvol.ctengine import ct_volume
 from flowvol.graphs import (
     DirectedStepGraph,
     NetFlow,
@@ -24,7 +24,6 @@ from flowvol.graphs import (
 from flowvol.kostant import count_flows
 from flowvol import kostant, lidskii
 from flowvol.lidskii import (
-    dominant_sum,
     ehrhart_differences,
     ehrhart_like,
     iter_dominant,
@@ -194,14 +193,14 @@ def test_volume_rejects_negative_supplies():
 
 
 def test_volume_terms_match_the_constant_term_engine():
-    # the table's sum against the term-by-term sum with the constant-term
-    # engine as the flow counter, at flows with zeros
+    # the table's sum against the sum taken as one constant term, at flows
+    # with zeros
     graphs = [pitman_stanley_graph(n) for n in range(2, 8)]
     graphs += [caracol_graph(n) for n in range(3, 8)]
     for g in graphs:
         for head in _supplies_with_zeros(g.vertex_count - 1, repr(g))[:4]:
             flow = NetFlow.with_sink(head)
-            assert volume(g, flow) == volume(g, flow, _ct_counter)
+            assert volume(g, flow) == ct_volume(g, flow)
 
 
 FAMILY_GRAPHS = {f"ps{n}": pitman_stanley_graph(n) for n in range(2, 10)}
@@ -330,10 +329,6 @@ def test_volume_table_copies_and_pickles_with_its_slots():
         assert (type(twin), twin, twin.slots) == (type(table), table, table.slots)
 
 
-def _ct_counter(graph, flow):
-    return evaluate(flow_count_expression(graph, flow))
-
-
 @st.composite
 def graph_and_supplies(draw):
     """A random multigraph on at most 5 vertices where every non-sink
@@ -391,11 +386,8 @@ def test_volume_matches_the_dense_reference(case):
     flow = NetFlow.with_sink(head)
     expected = _dense_volume(g, flow)
     assert volume(g, flow) == expected
-    # count_flows passed as kostant still builds the terms afresh instead of
-    # reading the cache; the constant-term counter reads parallel edges as
-    # repeated diff factors
-    assert volume(g, flow, count_flows) == expected
-    assert volume(g, flow, _ct_counter) == expected
+    # the constant-term route reads parallel edges as repeated diff factors
+    assert ct_volume(g, flow) == expected
 
 
 @st.composite
@@ -415,14 +407,13 @@ def larger_graph_and_supplies(draw):
 @settings(max_examples=150, deadline=None)
 @given(larger_graph_and_supplies())
 def test_the_table_matches_the_flat_sum(case):
-    # the default route, one pass over the table, against the term-by-term
-    # sum with count_flows and with the constant-term counter, and against
-    # the dense reference
+    # the table route, one pass over the table, and the constant-term route
+    # against the dense reference, which sums the terms one by one
     g, head = case
     flow = NetFlow.with_sink(head)
-    expected = volume(g, flow, count_flows)
-    assert volume(g, flow) == expected == _dense_volume(g, flow)
-    assert volume(g, flow, _ct_counter) == expected
+    expected = _dense_volume(g, flow)
+    assert volume(g, flow) == expected
+    assert ct_volume(g, flow) == expected
 
 
 @pytest.mark.parametrize("name", [f"{family}{n}" for family in ("ps", "car") for n in range(3, 11)])
@@ -432,13 +423,17 @@ def test_the_table_matches_the_flat_sum_on_the_families(name):
     graph = pitman_stanley_graph(n) if name.startswith("ps") else caracol_graph(n)
     heads = _supplies_with_zeros(n, name)
     flows = [NetFlow.with_sink(head) for head in heads]
-    assert [volume(graph, flow) for flow in flows] == _flat_volumes(graph, heads)
+    expected = _flat_volumes(graph, heads)
+    assert [volume(graph, flow) for flow in flows] == expected
+    assert [ct_volume(graph, flow) for flow in flows] == expected
 
 
 def _flat_volumes(graph, heads):
-    """volume(graph, ., count_flows) at each head, with the flow counts of
+    """The Lidskii sum at each head, term by term, with the flow counts of
     the terms computed once for all heads."""
-    n, total, t, inner = lidskii._lidskii_setup(graph)
+    n = graph.vertex_count - 1
+    total, t = graph.edge_count - n, tuple(d - 1 for d in graph.out_degrees()[:n])
+    inner = restrict(graph, n)
     terms = [(s, factorial(total) // prod(map(factorial, s))
               * count_flows(inner, NetFlow(tuple(a - b for a, b in zip(s, t)))))
              for s in iter_dominant(total, n, t)]
@@ -465,7 +460,7 @@ def test_volume_matches_the_dense_reference_on_the_families(name):
         flow = NetFlow.with_sink(head)
         expected = _dense_volume(graph, flow)
         assert volume(graph, flow) == expected
-        assert volume(graph, flow, _ct_counter) == expected
+        assert ct_volume(graph, flow) == expected
 
 
 def test_a_default_volume_query_builds_its_terms_through_the_cache_once(monkeypatch):
@@ -483,7 +478,7 @@ def test_a_default_volume_query_builds_its_terms_through_the_cache_once(monkeypa
     assert seen == [g]
     seen.clear()
     before = real.cache_info()
-    assert volume(g, NetFlow.with_sink((1, 2, 2, 2)), _ct_counter) == 98
+    assert ct_volume(g, NetFlow.with_sink((1, 2, 2, 2))) == 98
     assert seen == []
     assert real.cache_info() == before
 
@@ -500,7 +495,7 @@ def test_volume_rejects_a_non_sink_vertex_without_out_edges(spec, head, vertex):
     with pytest.raises(ValueError, match=message):
         volume(g, NetFlow.with_sink(head))
     with pytest.raises(ValueError, match=message):
-        volume(g, NetFlow.with_sink(head), _ct_counter)
+        ct_volume(g, NetFlow.with_sink(head))
     with pytest.raises(ValueError, match=message):
         unit_flow_volume(g)
     with pytest.raises(ValueError, match=message):
@@ -529,7 +524,7 @@ def test_a_build_checks_the_table_against_one_flow_count(monkeypatch):
     monkeypatch.setattr(lidskii, "count_flows", counting)
     lidskii.volume_terms.cache_clear()
     graph = caracol_graph(6)
-    assert volume(graph, NetFlow.with_sink((1,) * 6)) == volume(graph, NetFlow.with_sink((1,) * 6), count_flows)
+    assert volume(graph, NetFlow.with_sink((1,) * 6)) == _dense_volume(graph, NetFlow.with_sink((1,) * 6))
     assert calls == [NetFlow((4, -1, -1, -1, -1, 0))]
     lidskii.volume_terms.cache_clear()
 
@@ -576,6 +571,14 @@ def test_complete_graph_volumes(v):
     pairs = comb(n, 2)
     tesler = factorial(pairs) * 2**pairs // prod(factorial(i) for i in range(1, n + 1))
     assert volume(graph, NetFlow((1,) * n + (-n,))) == tesler
+
+
+@pytest.mark.parametrize("v", range(3, 9))
+def test_the_constant_term_route_matches_the_table_on_complete_graphs(v):
+    graph = _complete_graph(v)
+    for head in [[1] * (v - 1)] + _supplies_with_zeros(v - 1, f"K{v}")[:3]:
+        flow = NetFlow.with_sink(head)
+        assert ct_volume(graph, flow) == volume(graph, flow)
 
 
 def test_ehrhart_spot_values():

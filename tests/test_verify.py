@@ -9,7 +9,7 @@ from math import factorial
 
 import pytest
 
-from flowvol import cyclic, dyck, lidskii, verify
+from flowvol import closedforms, cyclic, dyck, lidskii, verify
 from flowvol.cli import main
 from flowvol.closedforms import multiset_coeff
 
@@ -159,18 +159,16 @@ def test_planted_constant_term_error_fails_the_suite(monkeypatch, capsys):
     assert _failed_ids(capsys) == {"PS-EHRHART-CT"}
 
 
-def test_planted_dominant_sum_error_fails_its_cases_and_the_volume_witness(monkeypatch, capsys):
+def test_planted_dominant_sum_error_fails_its_cases(monkeypatch, capsys):
     # 2! + 1 for 2! inside dominant_sum: the coefficient lemmas' defining
-    # sums fail, and the ct volume route disagrees with the table
+    # sums fail
     monkeypatch.delenv("FLOWVOL_WORKERS", raising=False)
-    monkeypatch.setattr(lidskii, "factorial", lambda x: factorial(x) + (x == 2))
+    monkeypatch.setattr(closedforms, "factorial", lambda x: factorial(x) + (x == 2))
     assert main(["verify", "--suite", "volumes"]) == 1
     out = capsys.readouterr().out
     failed = Counter(line.split()[1] for line in out.splitlines() if line.startswith(verify.FAIL + " "))
     assert failed == {"TAIL-COEFF": 35, "POWER-SUM-PAIR": 63, "POWER-SUM-TRIPLE": 162,
                       "FAN-SUM-FLOWS": 10, "FAN-SUM-PATHS": 10}
-    assert main(["volume", "--graph", "car:5", "--flow", "1,2,2,2", "--method", "all"]) == 1
-    assert capsys.readouterr().out == "kpf=98\nct=66\nDISAGREE\n"
 
 
 def test_planted_candidate_miscount_is_a_fail_not_a_crash(monkeypatch):
