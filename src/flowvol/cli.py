@@ -170,7 +170,7 @@ def _cmd_enumerate(args) -> int:
     else:
         words = cyclic.extended_words(args.n, args.k)
     if args.count:
-        print(sum(1 for _ in words))
+        print(dyck._count(words))
         return 0
     for word in words:
         print(word)

@@ -17,10 +17,9 @@ from __future__ import annotations
 from math import comb, factorial, prod
 from typing import Callable, Sequence
 
-from .dyck import _label_counts, min_constrained_count
+from .dyck import _label_counts, iter_dominant, min_constrained_count
 from .graphs import NetFlow, _integers, caracol_graph, restrict
 from .kostant import count_flows
-from .lidskii import iter_dominant
 
 
 class InexactDivisionError(ValueError, ArithmeticError):

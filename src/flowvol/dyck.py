@@ -22,29 +22,33 @@ class first, from ``combinations_with_replacement`` over that class's
 labels, so no node is opened for a down-step after the last U.
 
 One validator, ``_validate_steps``, checks every kind of word the same way,
-in one pass.  It tests each down-step with one merged condition (label in
-range and no higher than the run allows, height above the floor) and
-returns the height where the steps end.  A rejected word is diagnosed from
-the state where the pass stopped: the failing step, its position and the
-height and run top before it name the rule, range before height before
-order.  The extra channel of a doubly labeled word is checked the same way,
-and its base must be a ``LabeledDyckWord``.
+in one pass, after it checks that the label bound k is an int.  It tests
+each down-step with one merged condition (label in range and no higher than
+the run allows, height above the floor) and returns the height where the
+steps end.  A rejected word is diagnosed from the state where the pass
+stopped: the failing step, its position and the height and run top before
+it name the rule, range before height before order.  The extra channel of a
+doubly labeled word is checked the same way, and its base must be a
+``LabeledDyckWord``.
 
 A whole word is its prefix class at height 0: ``LabeledDyckWord`` is a
 ``DyckPrefixWord`` that adds only the balance check.  Every enumerated word
 is built through its validating constructor, and every enumerator checks
-its arguments at the call, before anything is iterated.
+its arguments at the call, before anything is iterated.  ``iter_dominant``
+walks the compositions that dominate a vector in one frame too, for the
+run vectors here and the sums of ``closedforms``, and ``_count`` counts an
+enumeration in C.  Nothing here imports a flow-count module.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product, repeat
+from collections import deque
+from itertools import accumulate, combinations_with_replacement, count, product, repeat
 from operator import add
 from typing import Callable, Iterator, Sequence
 
 from ._record import Record
 from .graphs import _integers
-from .lidskii import iter_dominant
 
 UP = -1
 
@@ -127,7 +131,7 @@ class DoublyLabeledDyckWord(Record):
             self.__dict__["extra"] = extra
             return
         # rejected at label e, with prev before it: the range is checked before the order
-        slot = len(extra) - sum(1 for _ in rest)
+        slot = len(extra) - _count(rest)
         if not 1 <= e <= k:
             raise ValueError(f"extra label {e} at slot {slot} outside 1..{k}")
         raise ValueError(f"extra labels must be weakly increasing; violated at slot {slot}")
@@ -140,6 +144,8 @@ def _validate_steps(steps: Sequence[int], k: int, floor: int = 0) -> int:
     """Label bound, label range, weak decrease within down-runs, and no
     down-step below height ``floor`` (the height starts at 0); returns the
     height where the steps end."""
+    if type(k) is not int:
+        raise ValueError(f"label bound k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("label bound k must be >= 1")
     height = 0
@@ -157,7 +163,7 @@ def _validate_steps(steps: Sequence[int], k: int, floor: int = 0) -> int:
     else:
         return height
     # rejected at down-step s, with the height and top before it
-    t = len(steps) - sum(1 for _ in rest)
+    t = len(steps) - _count(rest)
     if not 0 <= s <= k:
         raise ValueError(f"step {t}: label {s} outside 0..{k}")
     if height <= floor:
@@ -278,10 +284,10 @@ def dyck_prefixes(
     n, i, k = _integers((n, i, k), "dyck_prefixes argument")
     if not 0 <= i <= n:
         raise ValueError("height i must lie in 0..n")
+    # at the call, not at the first word; for k < 0 the walk would yield nothing
+    if k < 1:
+        raise ValueError("label bound k must be >= 1")
     if label_counts is None:
-        # for k < 0 the shared pool is empty: the walk would yield nothing, not fail
-        if k < 1:
-            raise ValueError("label bound k must be >= 1")
         pool, counts = (0,) * (k + 1), [n - i]
     else:
         pool, counts = tuple(range(k + 1)), _label_counts(label_counts, k, n - i, "n-i")
@@ -298,8 +304,8 @@ def _walk(
     floor: int,
     build: Callable[[tuple[int, ...], int], object],
 ) -> Iterator:
-    """Every ``build(steps, k)`` whose steps extend ``prefix`` to up_total
-    up-steps and down_total down-steps, in the enumeration order.
+    """Every ``build(steps, k)`` whose steps extend the up-steps ``prefix``
+    to up_total up-steps and down_total down-steps, in the enumeration order.
 
     Label t is available while ``counts[pool[t]]`` is positive, and the
     counts sum to the down-steps still to place; no down-step may take the
@@ -320,18 +326,13 @@ def _walk(
         return
     # each pool class's labels counted down from k, the highest class first
     labels = [[t for t in range(k, -1, -1) if pool[t] == c] for c in reversed(range(len(counts)))]
-    ups = prefix.count(UP)
-    downs = len(prefix) - ups
+    ups, downs = len(prefix), 0
     if ups == up_total:
-        top = prefix[-1] if prefix and prefix[-1] != UP else k
         head = tuple(prefix)
-        for tail in _tails([[t for t in run if t <= top] for run in labels], counts):
+        for tail in _tails(labels, counts):
             yield build(head + tail, k)
         return
-    if downs < down_total and ups - downs > floor:
-        todo = [prefix[-1] if prefix and prefix[-1] != UP else k]
-    else:
-        todo = [UP]
+    todo = [k if down_total and ups > floor else UP]
     while todo:
         s = todo[-1]
         while s >= 0 and not counts[pool[s]]:
@@ -385,6 +386,63 @@ def _tails(labels: list[list[int]], counts: list[int]) -> Iterator[tuple[int, ..
     return map(sum, product(*runs), repeat(()))
 
 
+def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The compositions of total into `length` nonnegative parts whose every
+    prefix sum is at least the matching prefix sum of t, in lexicographically
+    decreasing order, generated with prefix-sum pruning in one generator
+    frame, so any length walks without recursion.  t entries may be negative
+    (shifted out-degree vectors can be).  A non-integral argument or a t of
+    the wrong length raises ValueError at the call, before anything is
+    iterated."""
+    total, length = _integers((total, length), "iter_dominant argument")
+    t = _integers(t, "iter_dominant t entry")
+    if len(t) != length:
+        raise ValueError("t must have the given length")
+    return _dominant(total, length, t)
+
+
+def _dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """The walk behind ``iter_dominant``, in this one frame.  Part i counts
+    down from ``total`` minus the sum before it to its floor, ``max(0,
+    tsums[i] - sum before it)``; a part that starts below its floor is an
+    empty node.  The next-to-last part runs its whole range in one loop, as
+    the last part takes what is left."""
+    if length == 0:
+        if total == 0:
+            yield ()
+        return
+    tsums = list(accumulate(t))
+    if total < max(tsums[-1], 0):
+        return
+    if length == 1:
+        yield (total,)
+        return
+    last = length - 1
+    parts = [total] + [0] * last
+    before = [0] * length  # before[i]: the sum of parts[:i]
+    low = [max(0, tsums[0])] + [0] * last  # low[i]: the floor of parts[i]
+    i = 0
+    while True:
+        if i + 1 == last:
+            rest = total - before[i]
+            for v in range(parts[i], low[i] - 1, -1):
+                parts[i] = v
+                parts[last] = rest - v
+                yield tuple(parts)
+        elif parts[i] >= low[i]:
+            s = before[i] + parts[i]
+            i += 1
+            before[i] = s
+            parts[i] = total - s
+            low[i] = max(0, tsums[i] - s)
+            continue
+        # part i has run its range: the part before it takes its next value
+        if i == 0:
+            return
+        i -= 1
+        parts[i] -= 1
+
+
 def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[int, ...]]:
     """Run-length vectors (d_1..d_n) of Dyck words U D^{d_n} ... U D^{d_1}
     with d_i >= mins[i]; the word condition is dominance of (d_1..d_n) over
@@ -402,4 +460,12 @@ def min_constrained_run_vectors(n: int, mins: Sequence[int]) -> Iterator[tuple[i
 
 
 def min_constrained_count(n: int, mins: Sequence[int]) -> int:
-    return sum(1 for _ in min_constrained_run_vectors(n, mins))
+    return _count(min_constrained_run_vectors(n, mins))
+
+
+def _count(items) -> int:
+    """The number of items, counted in C: ``zip`` draws one tally per item,
+    and a ``deque`` of length 0 runs it without a Python frame per item."""
+    tally = count()
+    deque(zip(items, tally), maxlen=0)
+    return next(tally)

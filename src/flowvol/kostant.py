@@ -238,50 +238,48 @@ def list_flows(graph: DirectedStepGraph, flow: NetFlow, cap: int) -> list[FlowAs
 
 
 def iter_flows(graph: DirectedStepGraph, flow: NetFlow) -> Iterator[FlowAssignment]:
+    """The flows of list_flows, lazily, in the same order."""
     _check(graph, flow)
-    n = graph.vertex_count
-    net = flow.values
-    # canonical edge order groups the out-edges of v contiguously, so a
-    # vertex-by-vertex sweep assigns edges in list order
-    edge_index_of_vertex: list[list[int]] = [[] for _ in range(n + 1)]
-    for idx, (i, _) in enumerate(graph.edges):
-        edge_index_of_vertex[i].append(idx)
-    values = [0] * graph.edge_count
+    return _flows(graph, flow.values)
 
-    def rec(v: int, inflow: tuple[int, ...]) -> Iterator[FlowAssignment]:
-        if v > n:
+
+def _flows(graph: DirectedStepGraph, net: tuple[int, ...]) -> Iterator[FlowAssignment]:
+    """The walk behind ``iter_flows`` in one frame, over the canonical edge
+    list, where each vertex's out-edges stand together after its in-edges.
+    ``values[e]`` is edge e's value, -1 while unset; ``left[v]`` is v's supply
+    plus what its set in-edges bring less what its set out-edges carry.  Each
+    out-edge of u but the last tries 0, 1, ... up to ``left[u]`` and the last
+    takes the rest, so the flows come in lexicographic order.  A vertex with
+    no out-edges must keep nothing, checked once its last in-edge is set."""
+    tails, heads = [i - 1 for i, _ in graph.edges], [j - 1 for _, j in graph.edges]
+    m = len(tails)
+    last = [e == m - 1 or tails[e + 1] != tails[e] for e in range(m)]
+    sources, last_in = set(tails), {w: e for e, w in enumerate(heads)}
+    closes = [w not in sources and last_in[w] == e for e, w in enumerate(heads)]
+    if any(net[v] for v in set(range(graph.vertex_count)).difference(sources, last_in)):
+        return
+    values, left, e = [-1] * m, list(net), 0
+    while e >= 0:
+        if e == m:
             yield FlowAssignment(tuple(values))
-            return
-        surplus = net[v - 1] + inflow[0]
-        rest = inflow[1:]
-        idxs = edge_index_of_vertex[v]
-        if surplus < 0:
-            return
-        if not idxs:
-            if surplus == 0:
-                yield from rec(v + 1, rest)
-            return
-
-        def assign(pos: int, remaining: int, extra: list[int]) -> Iterator[FlowAssignment]:
-            if pos == len(idxs) - 1:
-                idx = idxs[pos]
-                target = graph.edges[idx][1]
-                values[idx] = remaining
-                extra[target - v - 1] += remaining
-                yield from rec(v + 1, tuple(e + r for e, r in zip(extra, rest)))
-                extra[target - v - 1] -= remaining
-                return
-            idx = idxs[pos]
-            target = graph.edges[idx][1]
-            for x in range(remaining + 1):
-                values[idx] = x
-                extra[target - v - 1] += x
-                yield from assign(pos + 1, remaining - x, extra)
-                extra[target - v - 1] -= x
-
-        yield from assign(0, surplus, [0] * (n - v))
-
-    return rec(1, (0,) * n)
+            e -= 1
+            continue
+        u, w, x = tails[e], heads[e], values[e]
+        if x >= 0:
+            # back from the edges after e: take x back
+            left[u] += x
+            left[w] -= x
+        # an unset last out-edge takes the rest; any other tries x + 1: 0 if unset
+        x = left[u] if last[e] and x < 0 else x + 1
+        if not 0 <= x <= left[u]:
+            values[e] = -1
+            e -= 1
+            continue
+        values[e] = x
+        left[u] -= x
+        left[w] += x
+        if not closes[e] or left[w] == 0:
+            e += 1
 
 
 def _check(graph: DirectedStepGraph, flow: NetFlow) -> None:

@@ -13,8 +13,9 @@ of the restriction's cut states with R carried along (Baldoni, De Loera
 and Vergne, Found. Comput. Math. 2004): kostant.weighted_sweep gives its
 transitions and the slots (i, e) they use, and volume_terms keeps them per
 graph.  A query computes a_i^e for those slots alone and makes one pass
-over the transitions; no composition is listed.  ctengine.ct_volume, the
-independent witness, takes the sum as one constant term.  Everything is
+over the transitions; no composition is listed, so the walker of them,
+dyck.iter_dominant, is not imported.  ctengine.ct_volume, the independent
+witness, takes the sum as one constant term.  Everything is
 exact integer arithmetic, the Ehrhart-like polynomial included:
 ehrhart_differences reads its Newton coefficients off the values at k =
 1..d+1 by repeated subtraction, with no division.
@@ -27,69 +28,12 @@ unit_flow_volume and ehrhart_like reject any other graph.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
 from math import comb
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .graphs import DirectedStepGraph, NetFlow, _check_out_edges, _integers, _volume_head, augment, restrict
+from .graphs import DirectedStepGraph, NetFlow, _check_out_edges, _volume_head, augment, restrict
 from .kostant import SweepTable, count_flows, weighted_sweep
-
-def iter_dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The compositions of total into `length` nonnegative parts whose every
-    prefix sum is at least the matching prefix sum of t, in lexicographically
-    decreasing order, generated with prefix-sum pruning in one generator
-    frame, so any length walks without recursion.  t entries may be negative
-    (shifted out-degree vectors can be).  A non-integral argument or a t of
-    the wrong length raises ValueError at the call, before anything is
-    iterated."""
-    total, length = _integers((total, length), "iter_dominant argument")
-    t = _integers(t, "iter_dominant t entry")
-    if len(t) != length:
-        raise ValueError("t must have the given length")
-    return _dominant(total, length, t)
-
-
-def _dominant(total: int, length: int, t: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """The walk behind ``iter_dominant``, in this one frame.  Part i counts
-    down from ``total`` minus the sum before it to its floor, ``max(0,
-    tsums[i] - sum before it)``; a part that starts below its floor is an
-    empty node.  The next-to-last part runs its whole range in one loop, as
-    the last part takes what is left."""
-    if length == 0:
-        if total == 0:
-            yield ()
-        return
-    tsums = list(accumulate(t))
-    if total < max(tsums[-1], 0):
-        return
-    if length == 1:
-        yield (total,)
-        return
-    last = length - 1
-    parts = [total] + [0] * last
-    before = [0] * length  # before[i]: the sum of parts[:i]
-    low = [max(0, tsums[0])] + [0] * last  # low[i]: the floor of parts[i]
-    i = 0
-    while True:
-        if i + 1 == last:
-            rest = total - before[i]
-            for v in range(parts[i], low[i] - 1, -1):
-                parts[i] = v
-                parts[last] = rest - v
-                yield tuple(parts)
-        elif parts[i] >= low[i]:
-            s = before[i] + parts[i]
-            i += 1
-            before[i] = s
-            parts[i] = total - s
-            low[i] = max(0, tsums[i] - s)
-            continue
-        # part i has run its range: the part before it takes its next value
-        if i == 0:
-            return
-        i -= 1
-        parts[i] -= 1
 
 
 @lru_cache(maxsize=32)

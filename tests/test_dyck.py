@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from flowvol.closedforms import labeled_dyck_count
+from flowvol.cyclic import ExtendedWord, PrefixExtendedWord
 from flowvol.dyck import (
     UP,
     DoublyLabeledDyckWord,
@@ -331,10 +332,11 @@ def test_labeled_word_is_a_prefix_at_height_zero():
         lambda: labeled_dyck_words(-1, 1),
         lambda: doubly_labeled_dyck_words(-1, 1),
         lambda: dyck_prefixes(2, 3, 1),
+        lambda: dyck_prefixes(2, 1, 0, (1,)),
         lambda: min_constrained_run_vectors(2, (1,)),
     ],
     ids=["labeled_dyck_words", "doubly_labeled_dyck_words", "dyck_prefixes",
-         "min_constrained_run_vectors"],
+         "dyck_prefixes-k-with-label-counts", "min_constrained_run_vectors"],
 )
 def test_enumerators_check_arguments_at_the_call(call):
     with pytest.raises(ValueError):
@@ -359,6 +361,25 @@ def test_enumerators_reject_non_integers_at_the_call(call, message):
     # each was truncated or ignored before, which gave a plausible count
     with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
         call()
+
+
+@pytest.mark.parametrize(
+    ("build", "steps"),
+    [
+        (LabeledDyckWord, (UP, 1)),
+        (DyckPrefixWord, (UP, UP, 1)),
+        (ExtendedWord, (UP, UP, 1)),
+        (PrefixExtendedWord, (UP, UP)),
+        (lambda steps, k: parse_word(format_word(LabeledDyckWord(steps, 1)), k), (UP, 1)),
+    ],
+    ids=["LabeledDyckWord", "DyckPrefixWord", "ExtendedWord", "PrefixExtendedWord", "parse_word"],
+)
+@pytest.mark.parametrize("k", [2.5, 1.0, True, "2"])
+def test_word_records_reject_a_label_bound_that_is_not_an_int(build, steps, k):
+    # each was accepted, and label_counts() then raised TypeError
+    with pytest.raises(ValueError, match=f"^label bound k must be an integer, got {k!r}$"):
+        build(steps, k)
+    assert build(steps, 2).k == 2
 
 
 def test_prefix_validation():

@@ -1,7 +1,7 @@
 import sys
 import threading
 import time
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +15,7 @@ from flowvol.ctengine import (
 )
 from flowvol.graphs import (
     DirectedStepGraph,
+    FlowAssignment,
     NetFlow,
     caracol_graph,
     parse_graph_spec,
@@ -82,6 +83,85 @@ def test_multi_edge_flows_counted_per_edge():
     assert [f.values for f in list_flows(g, NetFlow((2, -2)), 10)] == [
         (0, 2), (1, 1), (2, 0)
     ]
+
+
+def _recursive_flows(graph, flow):
+    """The walk of ``iter_flows`` as one generator per vertex and one per
+    out-edge: its reference, order included."""
+    n = graph.vertex_count
+    net = flow.values
+    edge_index_of_vertex = [[] for _ in range(n + 1)]
+    for idx, (i, _) in enumerate(graph.edges):
+        edge_index_of_vertex[i].append(idx)
+    values = [0] * graph.edge_count
+
+    def rec(v, inflow):
+        if v > n:
+            yield tuple(values)
+            return
+        surplus = net[v - 1] + inflow[0]
+        rest = inflow[1:]
+        idxs = edge_index_of_vertex[v]
+        if surplus < 0:
+            return
+        if not idxs:
+            if surplus == 0:
+                yield from rec(v + 1, rest)
+            return
+
+        def assign(pos, remaining, extra):
+            idx = idxs[pos]
+            target = graph.edges[idx][1]
+            if pos == len(idxs) - 1:
+                values[idx] = remaining
+                extra[target - v - 1] += remaining
+                yield from rec(v + 1, tuple(e + r for e, r in zip(extra, rest)))
+                extra[target - v - 1] -= remaining
+                return
+            for x in range(remaining + 1):
+                values[idx] = x
+                extra[target - v - 1] += x
+                yield from assign(pos + 1, remaining - x, extra)
+                extra[target - v - 1] -= x
+
+        yield from assign(0, surplus, [0] * (n - v))
+
+    return rec(1, (0,) * n)
+
+
+@st.composite
+def small_multigraph_and_flow(draw):
+    vertex_count = draw(st.integers(min_value=1, max_value=6))
+    pairs = [(i, j) for i in range(1, vertex_count) for j in range(i + 1, vertex_count + 1)]
+    mults = draw(st.lists(st.integers(min_value=0, max_value=2), min_size=len(pairs), max_size=len(pairs)))
+    size = vertex_count - 1
+    head = draw(st.lists(st.integers(min_value=-2, max_value=3), min_size=size, max_size=size))
+    edges = tuple(pair for pair, m in zip(pairs, mults) for _ in range(m))
+    return DirectedStepGraph(vertex_count, edges), NetFlow.with_sink(head)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraph_and_flow())
+def test_flows_match_the_recursive_walk(case):
+    # the first 2000 flows, as some of these graphs carry billions
+    graph, flow = case
+    want = list(islice(_recursive_flows(graph, flow), 2000))
+    assert [f.values for f in list_flows(graph, flow, 2000)] == want
+
+
+def test_flows_on_one_vertex():
+    graph = DirectedStepGraph(1, ())
+    assert list_flows(graph, NetFlow((0,)), 5) == [FlowAssignment(())]
+
+
+def test_deep_flow_walk_needs_no_recursion():
+    # one generator per vertex and per out-edge ended in RecursionError at ps:600
+    graph = pitman_stanley_graph(1200)
+    flow = NetFlow.with_sink((1,) + (0,) * 1199)
+    first, second = list_flows(graph, flow, 2)
+    assert first.values == (0, 1) + (0,) * (graph.edge_count - 2)
+    assert second.values == (1, 0, 0, 1) + (0,) * (graph.edge_count - 4)
+    assert first.satisfies(graph, flow) and second.satisfies(graph, flow)
 
 
 def _all_three_vertex_graphs(max_mult=2):

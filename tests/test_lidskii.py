@@ -21,12 +21,12 @@ from flowvol.graphs import (
     pitman_stanley_graph,
     restrict,
 )
+from flowvol.dyck import iter_dominant
 from flowvol.kostant import count_flows
 from flowvol import kostant, lidskii
 from flowvol.lidskii import (
     ehrhart_differences,
     ehrhart_like,
-    iter_dominant,
     unit_flow_volume,
     volume,
 )
@@ -57,7 +57,7 @@ def test_dominant_compositions_examples():
 
 
 def _recursive_dominant(total, length, t):
-    """The walk of ``lidskii._dominant`` as one recursive generator per part:
+    """The walk of ``dyck._dominant`` as one recursive generator per part:
     its reference, order included."""
     if length == 0:
         if total == 0:

@@ -233,7 +233,7 @@ def test_word_census_matches_filtered_enumerators():
     for n in range(0, 5):
         for k in range(1, 4):
             buckets, weighted = verify._word_census(n, k)
-            for comp in lidskii.iter_dominant(n, k + 1, (0,) * (k + 1)):
+            for comp in dyck.iter_dominant(n, k + 1, (0,) * (k + 1)):
                 filtered = dyck.labeled_dyck_words(n, k, label_counts=comp)
                 assert buckets.get(comp, 0) == sum(1 for _ in filtered)
             for d in range(n + 1):
@@ -250,7 +250,7 @@ def test_prefix_census_matches_filtered_prefixes():
         for k in range(1, 4):
             for i in range(n + 1):
                 census = verify._prefix_census(n, i, k)
-                comps = list(lidskii.iter_dominant(n - i, k + 1, (0,) * (k + 1)))
+                comps = list(dyck.iter_dominant(n - i, k + 1, (0,) * (k + 1)))
                 assert set(census) <= set(comps)
                 for comp in comps:
                     filtered = dyck.dyck_prefixes(n, i, k, comp)

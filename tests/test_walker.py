@@ -258,10 +258,10 @@ def _steps(steps, k):
     [
         ([], 0, 0, 2, (0, 0, 0), [0], 0),  # n = 0: the empty word
         ([UP], 1, 0, 2, (0, 0, 0), [0], -1),  # extended word of n = 0
-        ([UP, UP, UP, 1], 3, 3, 2, (0, 0, 0), [2], 0),  # the root holds every up-step
-        ([UP, UP, UP, 1], 3, 3, 2, (0, 1, 2), [1, 1, 0], 0),
-        ([UP, UP, UP, 1], 3, 3, 2, (0, 1, 1), [0, 2], 0),
-        ([UP, UP, UP, 0], 3, 3, 2, (0, 1, 1), [0, 2], 0),  # class 1 has no label below the top
+        ([UP, UP, UP], 3, 3, 2, (0, 0, 0), [3], 0),  # the root holds every up-step
+        ([UP, UP, UP], 3, 3, 2, (0, 1, 2), [1, 1, 1], 0),
+        ([UP, UP, UP], 3, 3, 2, (0, 1, 1), [0, 3], 0),
+        ([UP, UP, UP], 3, 3, 2, (0, 1, 2), [0, 0, 3], 0),  # only the top class has a count
         ([UP, UP, UP], 3, 3, 2, (0, 1, 1), [1, 2], 0),
         ([], 3, 1, 2, (0, 0, 0), [1], 2),  # the end height meets the floor
         ([], 3, 1, 2, (0, 0, 0), [1], 3),  # the end height is below the floor
@@ -282,12 +282,14 @@ def test_final_down_run_edge_cases(prefix, up_total, down_total, k, pool, counts
 
 def test_edge_cases_yield_words():
     assert list(dyck.labeled_dyck_words(0, 2)) == [dyck.LabeledDyckWord((), 2)]
-    assert list(dyck._walk([UP, UP, UP, 1], 3, 3, 2, (0, 0, 0), [2], 0, _steps)) == [
+    assert list(dyck._walk([UP, UP, UP], 3, 3, 1, (0, 0), [3], 0, _steps)) == [
         (UP, UP, UP, 1, 1, 1),
         (UP, UP, UP, 1, 1, 0),
         (UP, UP, UP, 1, 0, 0),
+        (UP, UP, UP, 0, 0, 0),
     ]
-    assert list(dyck._walk([UP, UP, UP, 1], 3, 3, 2, (0, 1, 2), [1, 1, 0], 0, _steps)) == [
-        (UP, UP, UP, 1, 1, 0),
+    assert list(dyck._walk([UP, UP, UP], 3, 3, 2, (0, 1, 2), [1, 1, 1], 0, _steps)) == [
+        (UP, UP, UP, 2, 1, 0),
     ]
-    assert list(dyck._walk([UP, UP, UP, 0], 3, 3, 2, (0, 1, 1), [0, 2], 0, _steps)) == []
+    # the end height -1 is below the floor
+    assert list(dyck._walk([UP, UP, UP], 3, 4, 2, (0, 1, 2), [1, 1, 2], 0, _steps)) == []
