@@ -29,11 +29,13 @@ diff leaving v takes l <= B_v.  A cap of max |monomial|, every B_v, and
 B_v + 1 where a diff leaves v (l runs below the cap) thus truncates no
 surviving term; a smaller cap is refused, and cap+1 is checked too.
 
-The oracle eliminates the variables in increasing order and drops a term
-as soon as the exponent of the variable being eliminated rises above 0.
-That is exact: at v it multiplies in v's pow factors and the diffs leaving
-v, each of which only raises x_v's exponent, and no later factor touches
-x_v, so such a term never reaches the constant term in x_v.
+The oracle eliminates the variables in increasing order.  At v it
+multiplies in v's pow factors, then the diffs leaving v; each only raises
+x_v's exponent and no later factor touches x_v, so no term whose exponent
+rises above 0 is built, and the last factor at v builds from each term only
+the one that lands x_v's exponent on 0 (a = -e_v from a pow factor, l =
+-e_v from a diff) and drops x_v from its key.  A key thus holds the
+exponents of the variables not yet eliminated, x_v first.
 """
 
 from __future__ import annotations
@@ -225,48 +227,66 @@ def _series_cap(expr: CTExpression) -> int:
 
 def _series_value(expr: CTExpression, cap: int) -> int:
     n = expr.nvars
+    pows, highs = [[] for _ in range(n + 1)], [[] for _ in range(n + 1)]
+    for i, k in expr.pow_factors:
+        pows[i].append(k)
+    for i, j in expr.diff_factors:
+        highs[i].append(j)
+    weights = {k: [_multiset(k, a) for a in range(cap + 1)] for _, k in expr.pow_factors}
+    # a key holds the exponents of x_v, ..., x_n, x_v first
     poly: dict[tuple[int, ...], int] = {expr.monomial: 1}
     for v in range(1, n + 1):
-        for i, k in expr.pow_factors:
-            if i == v:
-                poly = _multiply(poly, v, [(a, _multiset(k, a)) for a in range(cap + 1)], cap)
-        for i, j in expr.diff_factors:
-            if i == v:
-                poly = _multiply_two(poly, i, j, cap)
-        poly = {e: c for e, c in poly.items() if e[v - 1] == 0}
-    return poly.get((0,) * n, 0)
+        left = len(pows[v]) + len(highs[v])
+        if not left:
+            poly = {exps[1:]: coeff for exps, coeff in poly.items() if not exps[0]}
+        for k in pows[v]:
+            left -= 1
+            poly = _multiply(poly, weights[k], cap, not left)
+        for j in highs[v]:
+            left -= 1
+            poly = _multiply_two(poly, j - v, cap, not left)
+    return poly.get((), 0)
 
 
-def _multiply(poly, var, terms, cap):
-    # var is the variable being eliminated and terms ascend in add, so the
-    # first exponent above 0 ends the row: no later factor lowers it
+def _multiply(poly, weights, cap, last):
+    # (1-x_v)^-k = sum_a weights[a] x_v^a, x_v first in the key: its exponent
+    # stays in [-cap, 0], since no later factor lowers it, and the last factor
+    # at v takes only the a that lands it on 0 and drops it from the key
     out: dict[tuple[int, ...], int] = {}
-    vi = var - 1
+    if last:
+        for exps, coeff in poly.items():
+            a = -exps[0]
+            if 0 <= a <= cap:
+                key = exps[1:]
+                out[key] = out.get(key, 0) + coeff * weights[a]
+        return out
     for exps, coeff in poly.items():
-        base = exps[vi]
-        for add, w in terms:
-            e = base + add
-            if e > 0:
-                break
-            if e < -cap:
-                continue
-            key = exps[:vi] + (e,) + exps[vi + 1 :]
-            out[key] = out.get(key, 0) + coeff * w
+        base, rest = exps[0], exps[1:]
+        for add in range(max(0, -cap - base), min(cap, -base) + 1):
+            key = (base + add,) + rest
+            out[key] = out.get(key, 0) + coeff * weights[add]
     return out
 
 
-def _multiply_two(poly, low, high, cap):
-    # (x_high - x_low)^-1 = sum_l x_low^l x_high^(-l-1); low is the variable
-    # being eliminated, so l stops where its exponent would pass 0
+def _multiply_two(poly, h, cap, last):
+    # (x_high - x_v)^-1 = sum_l x_v^l x_high^(-l-1), l < cap, x_high at entry
+    # h: l keeps both exponents within the cap and x_v's at most 0, and the
+    # last factor at v takes only the l that lands x_v's on 0 and drops it
     out: dict[tuple[int, ...], int] = {}
-    li, hi = low - 1, high - 1
+    if last:
+        for exps, coeff in poly.items():
+            l = -exps[0]
+            high = exps[h] - l - 1
+            if 0 <= l < cap and abs(high) <= cap:
+                key = exps[1:h] + (high,) + exps[h + 1 :]
+                out[key] = out.get(key, 0) + coeff
+        return out
     for exps, coeff in poly.items():
+        low, high = exps[0], exps[h]
         key = list(exps)
-        for l in range(min(cap, 1 - exps[li])):
-            key[li] = exps[li] + l
-            key[hi] = exps[hi] - l - 1
-            if abs(key[li]) > cap or abs(key[hi]) > cap:
-                continue
+        for l in range(max(0, -cap - low, high - 1 - cap), min(cap - 1, -low, high - 1 + cap) + 1):
+            key[0] = low + l
+            key[h] = high - l - 1
             tkey = tuple(key)
             out[tkey] = out.get(tkey, 0) + coeff
     return out

@@ -1,9 +1,11 @@
+import inspect
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flowvol import ctengine
+from flowvol import cli, ctengine
+from flowvol.cli import main
 from flowvol.closedforms import ehrhart_car_closed, ehrhart_ps_closed
 from flowvol.ctengine import (
     CTExpression,
@@ -268,15 +270,17 @@ def test_evaluate_matches_series_on_negative_monomials(expr):
 
 
 def test_series_cap_never_consults_evaluate(monkeypatch):
-    # nor evaluate's plan, or the two ct witnesses would share their sweep
+    # nor evaluate's plan or any of its sweep's transforms, or the two ct
+    # witnesses would share their sweep
     def refuse(*args, **kwargs):
-        raise AssertionError("the series oracle called evaluate")
+        raise AssertionError("the series oracle called the sweep")
 
-    monkeypatch.setattr(ctengine, "evaluate", refuse)
-    monkeypatch.setattr(ctengine, "_plan", refuse)
+    for name in ("evaluate", "_plan", "_sweep", "_open", "_spend", "_close", "_draw"):
+        monkeypatch.setattr(ctengine, name, refuse)
     assert evaluate_series(BUDGET_WIDER_THAN_MONOMIAL) == 120
     assert evaluate_series(DIFF_AT_FULL_BUDGET) == 1
     assert evaluate_series(car_ct_expression(5, 2)) == ehrhart_car_closed(6, 2)
+    assert evaluate_series(ps_ct_expression(6, 3)) == ehrhart_ps_closed(6, 3)
 
 
 def _unpruned_series_value(expr, cap):
@@ -326,17 +330,28 @@ def _unpruned_multiply_two(poly, low, high, cap):
 
 @st.composite
 def signed_monomial_expression(draw):
-    """Up to 5 variables, monomial entries negative, zero and positive, pows
-    0-3 per variable and up to 4 diffs, so the unpruned reference stays small."""
+    """Up to 5 variables, monomial entries negative, zero and positive, up to
+    4 pow factors (several at one variable, none at another) and up to 4
+    diffs, repeats allowed, so the last factor at a variable is a pow, a
+    repeated diff or a diff leaving a pow-less variable; small enough for the
+    unpruned reference."""
     nvars = draw(st.integers(min_value=1, max_value=5))
     monomial = draw(
         st.lists(st.integers(min_value=-3, max_value=3), min_size=nvars, max_size=nvars)
     )
-    powk = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=nvars, max_size=nvars))
-    pows = [(i, k) for i, k in enumerate(powk, start=1) if k]
+    factor = st.tuples(st.integers(min_value=1, max_value=nvars), st.integers(min_value=1, max_value=3))
+    pows = draw(st.lists(factor, max_size=4))
     pairs = [(i, j) for i in range(1, nvars) for j in range(i + 1, nvars + 1)]
-    diffs = draw(st.lists(st.sampled_from(pairs), max_size=4, unique=True)) if pairs else []
+    diffs = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
     return CTExpression(nvars, tuple(monomial), tuple(pows), tuple(diffs))
+
+
+def _assert_matches_reference(expr):
+    cap = ctengine._series_cap(expr)
+    # below the derived cap the truncation drops surviving terms, so cap - 2
+    # and cap - 1 check that the kept ranges are the reference's too
+    for c in (cap - 2, cap - 1, cap, cap + 1, cap + 3):
+        assert ctengine._series_value(expr, c) == _unpruned_series_value(expr, c)
 
 
 @settings(max_examples=200, deadline=None)
@@ -344,10 +359,48 @@ def signed_monomial_expression(draw):
 @example(BUDGET_WIDER_THAN_MONOMIAL)
 @example(DIFF_AT_FULL_BUDGET)
 @example(CTExpression(2, (0, 9), ((1, 1),), ((1, 2),)))
+# x1 closes on its second pow factor, x2 (pow-less) on a repeated diff
+@example(parse_ct_expression("m:-2,1,1; p:1^1,1^2,3^2; d:2-3,2-3"))
+# x1 (pow-less) closes on the second copy of a repeated diff
+@example(parse_ct_expression("m:-1,0,2; p:2^2,3^1; d:1-2,1-3,1-3"))
+# below the derived cap, each meets one edge of the kept ranges: l = cap,
+# x_high past the cap below and above, x_v below -cap at a pow factor
+@example(parse_ct_expression("m:0,1; d:1-2"))
+@example(parse_ct_expression("m:-1,3; d:1-2,1-2"))
+@example(parse_ct_expression("m:0,-3; p:2^2,2^2; d:1-2"))
+@example(parse_ct_expression("m:0,3; p:2^3; d:1-2,1-2,1-2"))
+@example(parse_ct_expression("m:-2,-2,3; p:2^1; d:1-2,1-3,2-3"))
+@example(parse_ct_expression("m:-3; p:1^2,1^3,1^3"))
 def test_dropping_dead_terms_keeps_the_series_value(expr):
-    cap = ctengine._series_cap(expr)
-    for c in (cap, cap + 1):
-        assert ctengine._series_value(expr, c) == _unpruned_series_value(expr, c)
+    _assert_matches_reference(expr)
+
+
+def _planted_oracle(monkeypatch, *edits):
+    """Replace the oracle, in ctengine and in the CLI, by one run from a copy
+    of ctengine's source with each (old, new) edit made once."""
+    source = inspect.getsource(ctengine)
+    for old, new in edits:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    planted = {"__name__": ctengine.__name__, "__package__": ctengine.__package__}
+    exec(compile(source, ctengine.__file__, "exec"), planted)
+    monkeypatch.setattr(ctengine, "_series_value", planted["_series_value"])
+    monkeypatch.setattr(cli, "evaluate_series", planted["evaluate_series"])
+
+
+@pytest.mark.parametrize(("edits", "expr", "out"), [
+    # the exact last step lands x_v's exponent on +1 instead of 0
+    ((("a = -exps[0]", "a = 1 - exps[0]"), ("l = -exps[0]", "l = 1 - exps[0]")),
+     car_ct_expression(5, 2), "cp=3876\nseries=6936\nDISAGREE\n"),
+    # the exact last pow factor drops its weight comb(k + a - 1, a)
+    ((("coeff * weights[a]", "coeff"),), ps_ct_expression(4, 2), "cp=30\nseries=12\nDISAGREE\n"),
+], ids=["exponent-one", "pow-weight"])
+def test_a_planted_exact_step_error_is_caught(capsys, monkeypatch, edits, expr, out):
+    _planted_oracle(monkeypatch, *edits)
+    assert main(["ct", "--expr", format_ct_expression(expr), "--method", "all"]) == 1
+    assert capsys.readouterr().out == out
+    with pytest.raises(AssertionError):
+        _assert_matches_reference(expr)
 
 
 @pytest.mark.parametrize("expr", [car_ct_expression(16, 3), ps_ct_expression(40, 3)], ids=["car16", "ps40"])

@@ -3,7 +3,13 @@ import only the modules its row of the table names.  The front ends (the
 package itself, ``cli`` and ``verify``) join the paths and are not listed."""
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import flowvol
 
@@ -69,3 +75,23 @@ def lazy():
     assert package_imports(source) == {
         "kostant", "lidskii", "ctengine", "dyck", "cyclic", "closedforms", "_record"
     }
+
+
+def test_the_word_witnesses_load_no_flow_count_at_run_time():
+    # the package's exports load their module on first use, so the rows
+    # above hold in a running interpreter too, not only in the source text
+    code = "import sys, flowvol.dyck, flowvol.cyclic; print(sorted(sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(ast.literal_eval(result.stdout))
+    assert {"flowvol.dyck", "flowvol.cyclic"} <= loaded
+    assert not {"flowvol.kostant", "flowvol.lidskii"} & loaded
+
+
+def test_every_export_is_its_module_attribute():
+    for name in flowvol.__all__:
+        module = importlib.import_module(f"flowvol.{flowvol._EXPORTS[name]}")
+        assert getattr(flowvol, name) is getattr(module, name)
+    assert set(flowvol.__all__) <= set(dir(flowvol))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        flowvol.no_such_name
