@@ -45,7 +45,7 @@ from itertools import chain, repeat
 from math import comb
 
 from ._record import Record
-from .graphs import DirectedStepGraph, NetFlow, _integers, _volume_head
+from .graphs import DirectedStepGraph, NetFlow, _integers, _sums_to_int, _volume_head
 
 
 class SeriesUnstableError(ValueError, ArithmeticError):
@@ -71,8 +71,7 @@ class CTExpression(Record):
         if len(monomial) != nvars:
             raise ValueError("monomial length must equal nvars")
         monomial = _integers(monomial, "monomial exponent")
-        # only an entry that is not an int makes the sum not an int: convert only then
-        if type(sum(chain(*pow_factors, *diff_factors))) is not int:
+        if not _sums_to_int(chain(*pow_factors, *diff_factors)):
             pow_factors = tuple(_integers(factor, "pow factor entry") for factor in pow_factors)
             diff_factors = tuple(_integers(factor, "diff factor entry") for factor in diff_factors)
         for i, k in pow_factors:

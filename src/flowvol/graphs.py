@@ -31,8 +31,7 @@ class DirectedStepGraph(Record):
             raise ValueError(f"vertex_count must be an int, got {vertex_count!r}")
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        # only an endpoint that is not an int makes the sum not an int: convert only then
-        if type(sum(chain(*edges))) is not int:
+        if not _sums_to_int(chain(*edges)):
             edges = tuple(_integers(edge, "edge endpoint") for edge in edges)
         for i, j in edges:
             if not (1 <= i < j <= vertex_count):
@@ -100,7 +99,7 @@ class FlowAssignment(Record):
     _fields = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
-        if type(sum(values)) is not int:
+        if not _sums_to_int(values):
             values = _integers(values, "flow value")
         if any(v < 0 for v in values):
             raise ValueError("flow values must be nonnegative")
@@ -235,13 +234,34 @@ def parse_net_flow(text: str, vertex_count: int) -> NetFlow:
 
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints; ValueError names the first that is not integral."""
+    """The values as a tuple of ints; ValueError names the first that is not
+    integral, also where int() itself raises (None, 'x', infinity)."""
     values = tuple(values)
-    ints = tuple(map(int, values))
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != values:
-        bad = next(v for v, i in zip(values, ints) if i != v)
+        bad = next(v for v in values if not _is_integer(v))
         raise ValueError(f"{what} {bad!r} is not an integer")
     return ints
+
+
+def _is_integer(value: object) -> bool:
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _sums_to_int(values: Iterable[int]) -> bool:
+    """Whether every value is an int, tested by one sum so that a caller
+    converts through _integers only when some value is not: false where the
+    values sum to a float or do not sum at all."""
+    try:
+        return type(sum(values)) is int
+    except TypeError:
+        return False
 
 
 def _parse_int(text: str, what: str) -> int:

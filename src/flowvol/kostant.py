@@ -42,7 +42,7 @@ from itertools import islice
 from math import comb
 from typing import Iterator, Sequence
 
-from .graphs import DirectedStepGraph, FlowAssignment, NetFlow
+from .graphs import DirectedStepGraph, FlowAssignment, NetFlow, _integers
 
 
 def count_flows(graph: DirectedStepGraph, flow: NetFlow) -> int:
@@ -232,6 +232,7 @@ def _ways(m: int, x: int) -> int:
 def list_flows(graph: DirectedStepGraph, flow: NetFlow, cap: int) -> list[FlowAssignment]:
     """All integer flows in lexicographic order of the canonical edge tuple,
     truncated at cap entries."""
+    (cap,) = _integers((cap,), "list_flows cap")
     if cap < 0:
         raise ValueError("cap must be nonnegative")
     return list(islice(iter_flows(graph, flow), cap))

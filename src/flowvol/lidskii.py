@@ -15,10 +15,10 @@ transitions and the slots (i, e) they use, and volume_terms keeps them per
 graph.  A query computes a_i^e for those slots alone and makes one pass
 over the transitions; no composition is listed, so the walker of them,
 dyck.iter_dominant, is not imported.  ctengine.ct_volume, the independent
-witness, takes the sum as one constant term.  Everything is
-exact integer arithmetic, the Ehrhart-like polynomial included:
-ehrhart_differences reads its Newton coefficients off the values at k =
-1..d+1 by repeated subtraction, with no division.
+witness, takes the sum as one constant term.  At a = (1, 0, ..., 0) the
+sum is its lone term s = (m-n, 0, ..., 0), one flow count on the
+restriction: unit_flow_volume, which ehrhart_like takes on augment(G, k).
+Everything is exact integer arithmetic, the Ehrhart-like polynomial included.
 
 The sum is the volume only when every non-sink vertex has an out-edge
 (the shifted out-degree of such a vertex would be -1), so volume,
@@ -32,19 +32,17 @@ from math import comb
 from operator import sub
 from typing import Sequence
 
-from .graphs import DirectedStepGraph, NetFlow, _check_out_edges, _volume_head, augment, restrict
+from .graphs import DirectedStepGraph, NetFlow, _check_out_edges, _integers, _volume_head, augment, restrict
 from .kostant import SweepTable, count_flows, weighted_sweep
 
 
 @lru_cache(maxsize=32)
 def volume_terms(graph: DirectedStepGraph) -> SweepTable:
     """The graph's Lidskii sum as kostant.weighted_sweep's transitions on
-    the restriction, whose slots (i, e) stand for a_i^e (i from 0).  The
-    value at a = (1, 0, ..., 0) is the lone term s = (m-n, 0, ..., 0), one
-    flow count, and a table that disagrees with count_flows there raises
-    ValueError instead of being returned.  The tables of the 32 most
-    recently used graphs stay cached; a table is immutable, so concurrent
-    callers may share it."""
+    the restriction, whose slots (i, e) stand for a_i^e (i from 0).  A table
+    whose value at a = (1, 0, ..., 0) is not its lone term's flow count raises
+    ValueError instead of being returned.  The tables of the 32 most recently
+    used graphs stay cached; a table is immutable, so threads may share it."""
     n = graph.vertex_count - 1
     total, t = graph.edge_count - n, tuple(d - 1 for d in graph.out_degrees()[:n])
     inner = restrict(graph, n)
@@ -77,19 +75,22 @@ def volume(graph: DirectedStepGraph, flow: NetFlow) -> int:
 
 
 def unit_flow_volume(graph: DirectedStepGraph) -> int:
-    """Volume at net flow (1, 0, ..., 0, -1), read off a single flow count."""
+    """Volume at net flow (1, 0, ..., 0, -1): volume_terms' lone term, one flow
+    count on the restriction.  On augment(G, k), where G has m_G edges and n_G
+    non-sink vertices, the supplies are (m_G - n_G, 1 - outdeg_G(1), ..., 1 -
+    outdeg_G(n_G)) whatever k is."""
     degs = graph.out_degrees()
     n = graph.vertex_count - 1
     if n < 1:
         raise ValueError("unit_flow_volume needs at least two vertices")
     _check_out_edges(degs, "unit_flow_volume")
-    p = sum(degs[i] for i in range(1, n)) - n + 1
-    vector = (p,) + tuple(1 - degs[i] for i in range(1, n)) + (0,)
-    return count_flows(graph, NetFlow(vector))
+    supplies = (graph.edge_count - n + 1 - degs[0],) + tuple(1 - d for d in degs[1:n])
+    return count_flows(restrict(graph, n), NetFlow(supplies))
 
 
 def ehrhart_like(graph: DirectedStepGraph, k: int) -> int:
     """Volume of the k-fold augmented graph at net flow (1, 0^n)."""
+    (k,) = _integers((k,), "augment multiplicity")
     if k < 1:
         raise ValueError("ehrhart_like requires k >= 1")
     _check_out_edges(graph.out_degrees(), "ehrhart_like")
@@ -107,8 +108,7 @@ def ehrhart_differences(graph: DirectedStepGraph) -> tuple[int, ...]:
     values at k = 1..d+1 by repeated subtraction.  The last entry is d!
     times the leading coefficient, which is the volume at net flow (1, ...,
     1) (Benedetti et al., Trans. AMS 2019).  The form must reproduce the
-    value sampled at k = d+2, otherwise ValueError names both numbers.
-    """
+    value sampled at k = d+2, otherwise ValueError names both numbers."""
     d = graph.edge_count - graph.vertex_count + 1
     values = [ehrhart_like(graph, k) for k in range(1, d + 3)]
     sampled = values.pop()

@@ -146,15 +146,12 @@ def _prefix_census(n: int, i: int, k: int) -> Counter[tuple[int, ...]]:
     return Counter(map(methodcaller("label_counts"), words))
 
 
-def _word_census(n: int, k: int) -> tuple[Counter[tuple[int, ...]], int]:
-    """The labeled words of (n, k) by label-count vector, and the sum over
-    the words of ``multiset_coeff(k, n + zeros)``, which counts the doubly
-    labeled words."""
-    buckets = _prefix_census(n, 0, k)
-    weighted = sum(
-        count * cf.multiset_coeff(k, n + comp[0]) for comp, count in buckets.items()
+def _word_census(n: int, k: int) -> int:
+    """The sum over the labeled words of (n, k) of ``multiset_coeff(k, n +
+    zeros)``, which counts the doubly labeled words, read off the census."""
+    return sum(
+        count * cf.multiset_coeff(k, n + comp[0]) for comp, count in _prefix_census(n, 0, k).items()
     )
-    return buckets, weighted
 
 
 def _label_counts_case(n: int, k: int) -> tuple[int, int]:
@@ -317,7 +314,7 @@ CASES: dict[str, Callable[..., tuple[int, int]]] = {
     ),
     "LD-LABEL-COUNTS": _label_counts_case,
     "LD-ZEROS": _zeros_case,
-    "DLD-WEIGHTED": lambda n, k: (cf.doubly_labeled_count(n, k), _word_census(n, k)[1]),
+    "DLD-WEIGHTED": lambda n, k: (cf.doubly_labeled_count(n, k), _word_census(n, k)),
     "DLD-OBJECTS": lambda n, k: (
         cf.doubly_labeled_count(n, k), dyck._count(dyck.doubly_labeled_dyck_words(n, k))
     ),

@@ -1,5 +1,11 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
+
+from flowvol.closedforms import catalan, multiset_coeff
+from flowvol.ctengine import CTExpression, ps_ct_expression
+from flowvol.dyck import iter_dominant, labeled_dyck_words
 
 from flowvol.graphs import (
     DirectedStepGraph,
@@ -12,7 +18,7 @@ from flowvol.graphs import (
     pitman_stanley_graph,
     restrict,
 )
-from flowvol.kostant import count_flows
+from flowvol.kostant import count_flows, list_flows
 from flowvol.lidskii import ehrhart_like
 
 
@@ -161,6 +167,36 @@ def test_net_flow_with_sink_rejects_non_integral_entries():
 def test_families_reject_non_integers(call, message):
     # each raised TypeError inside range() or a list repetition
     with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: catalan(None), "catalan argument None"),
+        (lambda: catalan("x"), "catalan argument 'x'"),
+        (lambda: catalan(float("inf")), "catalan argument inf"),
+        (lambda: multiset_coeff(2, None), "multiset_coeff argument None"),
+        (lambda: pitman_stanley_graph(None), "pitman_stanley_graph argument None"),
+        (lambda: labeled_dyck_words(None, 2), "labeled_dyck_words argument None"),
+        (lambda: ps_ct_expression(None, 2), "ps_ct_expression argument None"),
+        (lambda: NetFlow((1, None)), "net flow entry None"),
+        (lambda: iter_dominant(2, 2, (0, None)), "iter_dominant t entry None"),
+        (lambda: DirectedStepGraph(3, ((1, None),)), "edge endpoint None"),
+        (lambda: FlowAssignment((1, None)), "flow value None"),
+        (lambda: CTExpression(2, (0, 0), (), ((1, None),)), "diff factor entry None"),
+        (lambda: ehrhart_like(caracol_graph(4), None), "augment multiplicity None"),
+        (lambda: ehrhart_like(caracol_graph(4), "2"), "augment multiplicity '2'"),
+        (lambda: list_flows(caracol_graph(4), NetFlow.with_sink((1, 0, 0, 0)), None), "list_flows cap None"),
+    ],
+    ids=["catalan-None", "catalan-str", "catalan-inf", "multiset_coeff", "pitman_stanley_graph",
+         "labeled_dyck_words", "ps_ct_expression", "NetFlow", "iter_dominant", "DirectedStepGraph",
+         "FlowAssignment", "CTExpression", "ehrhart_like-None", "ehrhart_like-str", "list_flows"],
+)
+def test_non_numbers_raise_value_error(call, message):
+    # each raised TypeError from int(), from a sum or from a comparison, or
+    # int's own "invalid literal" text
+    with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
         call()
 
 

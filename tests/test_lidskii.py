@@ -1,4 +1,5 @@
 import copy
+import inspect
 import pickle
 import random
 import sys
@@ -9,13 +10,14 @@ from math import comb, factorial, prod
 from operator import getitem
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flowvol.closedforms import catalan, dominant_sum, ehrhart_car_closed, ehrhart_ps_closed, ps_volume_closed
 from flowvol.ctengine import ct_volume
 from flowvol.graphs import (
     DirectedStepGraph,
     NetFlow,
+    augment,
     caracol_graph,
     parse_graph_spec,
     pitman_stanley_graph,
@@ -23,7 +25,8 @@ from flowvol.graphs import (
 )
 from flowvol.dyck import iter_dominant
 from flowvol.kostant import count_flows
-from flowvol import kostant, lidskii
+from flowvol import kostant, lidskii, verify
+from flowvol.cli import main
 from flowvol.lidskii import (
     ehrhart_differences,
     ehrhart_like,
@@ -556,6 +559,78 @@ def test_unit_flow_matches_volume_sum():
         n = g.vertex_count - 1
         unit = NetFlow((1,) + (0,) * (n - 1) + (-1,))
         assert unit_flow_volume(g) == volume(g, unit)
+
+
+def _zero_sink_unit_flow_volume(graph):
+    """unit_flow_volume as it was before it counted on the restriction: the
+    whole graph with the sink's supply 0, so every sink edge carries 0."""
+    degs = graph.out_degrees()
+    n = graph.vertex_count - 1
+    p = sum(degs[i] for i in range(1, n)) - n + 1
+    vector = (p,) + tuple(1 - degs[i] for i in range(1, n)) + (0,)
+    return count_flows(graph, NetFlow(vector))
+
+
+def _assert_unit_flow_matches_the_zero_sink_sweep(graph):
+    n = graph.vertex_count - 1
+    expected = _zero_sink_unit_flow_volume(graph)
+    assert unit_flow_volume(graph) == expected == volume(graph, NetFlow((1,) + (0,) * (n - 1) + (-1,)))
+    for k in range(1, 4):
+        assert ehrhart_like(graph, k) == _zero_sink_unit_flow_volume(augment(graph, k))
+
+
+# the first out-edge of each vertex may go to the sink, so the restriction
+# may be disconnected, and the repeated random edges give parallel sink edges
+@settings(max_examples=150, deadline=None)
+@given(larger_graph_and_supplies().map(lambda case: case[0]))
+# every non-sink vertex reaches only the sink: the restriction has no edge
+@example(parse_graph_spec("4:1-4,2-4,3-4"))
+# parallel sink edges, and a middle vertex cut off in the restriction
+@example(parse_graph_spec("4:1-2,1-4,1-4,2-4,3-4,3-4"))
+def test_unit_flow_volume_matches_the_zero_sink_sweep(graph):
+    _assert_unit_flow_matches_the_zero_sink_sweep(graph)
+
+
+@pytest.mark.parametrize("v", range(3, 8))
+def test_unit_flow_volume_matches_the_zero_sink_sweep_on_complete_graphs(v):
+    _assert_unit_flow_matches_the_zero_sink_sweep(_complete_graph(v))
+
+
+@pytest.mark.parametrize("spec", ["car:7", "ps:6", "4:1-4,2-4,3-4", "4:1-2,1-4,1-4,2-4,3-4,3-4"])
+def test_the_lone_term_is_one_flow_count(monkeypatch, spec):
+    # a cold volume_terms and unit_flow_volume count the same flows
+    calls = []
+
+    def recording(graph, flow):
+        calls.append((graph, flow))
+        return count_flows(graph, flow)
+
+    monkeypatch.setattr(lidskii, "count_flows", recording)
+    graph = parse_graph_spec(spec)
+    lidskii.volume_terms.cache_clear()
+    try:
+        lidskii.volume_terms(graph)
+        unit_flow_volume(graph)
+    finally:
+        lidskii.volume_terms.cache_clear()
+    assert len(calls) == 2 and calls[0] == calls[1]
+    assert calls[0][0] == restrict(graph, graph.vertex_count - 1)
+
+
+def test_a_planted_source_supply_error_is_caught(capsys, monkeypatch):
+    # one unit moves from the source to vertex 2 in a copy of the module,
+    # so the kpf route counts other flows and the other three routes agree
+    line = "NetFlow(supplies)"
+    source = inspect.getsource(lidskii)
+    assert source.count(line) == 1
+    planted = {"__name__": lidskii.__name__, "__package__": lidskii.__package__,
+               "_plant": lambda s: (s[0] - 1, s[1] + 1) + s[2:]}
+    exec(compile(source.replace(line, "NetFlow(_plant(supplies))"), lidskii.__file__, "exec"), planted)
+    monkeypatch.setattr(verify, "ehrhart_like", planted["ehrhart_like"])
+    assert main(["ehrhart", "--family", "car", "--n", "6", "--k", "2", "--method", "all"]) == 1
+    assert capsys.readouterr().out == "kpf=3264\nct=3876\nenum=3876\nclosed=3876\nDISAGREE\n"
+    assert planted["unit_flow_volume"](augment(caracol_graph(6), 2)) == 3264
+    assert _zero_sink_unit_flow_volume(augment(caracol_graph(6), 2)) == 3876
 
 
 @pytest.mark.parametrize("v", range(3, 10))

@@ -232,14 +232,14 @@ def test_planted_word_route_error_reaches_verify_and_the_cli(monkeypatch, capsys
 def test_word_census_matches_filtered_enumerators():
     for n in range(0, 5):
         for k in range(1, 4):
-            buckets, weighted = verify._word_census(n, k)
+            buckets = verify._prefix_census(n, 0, k)
             for comp in dyck.iter_dominant(n, k + 1, (0,) * (k + 1)):
                 filtered = dyck.labeled_dyck_words(n, k, label_counts=comp)
                 assert buckets.get(comp, 0) == sum(1 for _ in filtered)
             for d in range(n + 1):
                 total = sum(count for comp, count in buckets.items() if comp[0] == d)
                 assert total == sum(1 for _ in dyck.labeled_dyck_words(n, k, zeros=d))
-            assert weighted == sum(
+            assert verify._word_census(n, k) == sum(
                 multiset_coeff(k, n + w.zero_label_count)
                 for w in dyck.labeled_dyck_words(n, k)
             )
@@ -255,7 +255,6 @@ def test_prefix_census_matches_filtered_prefixes():
                 for comp in comps:
                     filtered = dyck.dyck_prefixes(n, i, k, comp)
                     assert census.get(comp, 0) == sum(1 for _ in filtered)
-            assert verify._prefix_census(n, 0, k) == verify._word_census(n, k)[0]
 
 
 def test_prefix_census_is_walked_once_per_run(monkeypatch):
