@@ -41,11 +41,11 @@ exponents of the variables not yet eliminated, x_v first.
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from math import comb
 
 from ._record import Record
-from .graphs import DirectedStepGraph, NetFlow, _integers, _sums_to_int, _volume_head
+from .graphs import DirectedStepGraph, NetFlow, _integers, _pairs, _volume_head
 
 
 class SeriesUnstableError(ValueError, ArithmeticError):
@@ -64,16 +64,14 @@ class CTExpression(Record):
         pow_factors: tuple[tuple[int, int], ...] = (),
         diff_factors: tuple[tuple[int, int], ...] = (),
     ) -> None:
-        if type(nvars) is not int:
-            (nvars,) = _integers((nvars,), "nvars")
+        (nvars,) = _integers((nvars,), "nvars")
         if nvars < 1:
             raise ValueError("nvars must be positive")
+        monomial = _integers(monomial, "monomial exponent")
         if len(monomial) != nvars:
             raise ValueError("monomial length must equal nvars")
-        monomial = _integers(monomial, "monomial exponent")
-        if not _sums_to_int(chain(*pow_factors, *diff_factors)):
-            pow_factors = tuple(_integers(factor, "pow factor entry") for factor in pow_factors)
-            diff_factors = tuple(_integers(factor, "diff factor entry") for factor in diff_factors)
+        pow_factors = _pairs(pow_factors, "pow factor entry")
+        diff_factors = _pairs(diff_factors, "diff factor entry")
         for i, k in pow_factors:
             if not 1 <= i <= nvars:
                 raise ValueError(f"pow factor index {i} out of range")
@@ -195,6 +193,7 @@ def _close(states, k):
 def evaluate_series_oracle(expr: CTExpression, degree_cap: int) -> int:
     """Truncated-series value at degree_cap, checked against cap+1.  A cap
     below the derived bound on the budgets B_v raises SeriesUnstableError."""
+    (degree_cap,) = _integers((degree_cap,), "degree_cap")
     need = _series_cap(expr)
     if degree_cap < need:
         raise SeriesUnstableError(f"cap {degree_cap} is below {need}, the monomial and budget bound")
@@ -297,8 +296,7 @@ def _multiset(n: int, m: int) -> int:
 
 def ps_ct_expression(n: int, k: int) -> CTExpression:
     """Chain expression: prod (1-x_i)^-k * prod (x_{i+1}-x_i)^-1."""
-    if type(n) is not int or type(k) is not int:
-        n, k = _integers((n, k), "ps_ct_expression argument")
+    n, k = _integers((n, k), "ps_ct_expression argument")
     if n < 2 or k < 1:
         raise ValueError("ps_ct_expression requires n >= 2 and k >= 1")
     return CTExpression(
@@ -312,8 +310,7 @@ def ps_ct_expression(n: int, k: int) -> CTExpression:
 def car_ct_expression(n: int, k: int) -> CTExpression:
     """Fan-plus-chain expression: x_1^-1 prod (1-x_i)^-k
     * prod (x_n-x_i)^-1 * prod (x_{i+1}-x_i)^-1 (chain stops at n-1)."""
-    if type(n) is not int or type(k) is not int:
-        n, k = _integers((n, k), "car_ct_expression argument")
+    n, k = _integers((n, k), "car_ct_expression argument")
     if n < 2 or k < 1:
         raise ValueError("car_ct_expression requires n >= 2 and k >= 1")
     diffs = [(i, n) for i in range(1, n)]

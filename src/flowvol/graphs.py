@@ -4,11 +4,16 @@ All graphs live on vertices 1..N with every edge pointing from a lower
 vertex to a higher one.  Multi-edges are repeated pairs in a canonically
 sorted edge list, so two graphs are equal iff their vertex counts and edge
 lists are.
+
+``_integers`` (scalars as 1-tuples) and ``_pairs`` (edges, factors) read every
+integer argument of the package: 2.0 reads as 2, anything else raises ValueError.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from itertools import chain
+from operator import countOf
 from typing import Iterable
 
 from ._record import Record
@@ -27,12 +32,11 @@ class DirectedStepGraph(Record):
     _fields = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges: tuple[tuple[int, int], ...]) -> None:
-        if not isinstance(vertex_count, int):
+        if type(vertex_count) is not int:
             raise ValueError(f"vertex_count must be an int, got {vertex_count!r}")
         if vertex_count < 1:
             raise ValueError("vertex_count must be positive")
-        if not _sums_to_int(chain(*edges)):
-            edges = tuple(_integers(edge, "edge endpoint") for edge in edges)
+        edges = _pairs(edges, "edge endpoint")
         for i, j in edges:
             if not (1 <= i < j <= vertex_count):
                 raise ValueError(f"edge ({i},{j}) violates 1 <= i < j <= {vertex_count}")
@@ -99,8 +103,7 @@ class FlowAssignment(Record):
     _fields = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
-        if not _sums_to_int(values):
-            values = _integers(values, "flow value")
+        values = _integers(values, "flow value")
         if any(v < 0 for v in values):
             raise ValueError("flow values must be nonnegative")
         self.__dict__["values"] = values
@@ -117,8 +120,7 @@ class FlowAssignment(Record):
 
 def pitman_stanley_graph(n: int) -> DirectedStepGraph:
     """Path 1 -> ... -> n+1 plus shortcut edges (i, n+1) for i <= n-1."""
-    if type(n) is not int:
-        (n,) = _integers((n,), "pitman_stanley_graph argument")
+    (n,) = _integers((n,), "pitman_stanley_graph argument")
     if n < 2:
         raise ValueError("pitman_stanley_graph requires n >= 2")
     edges = [(i, i + 1) for i in range(1, n + 1)]
@@ -128,8 +130,7 @@ def pitman_stanley_graph(n: int) -> DirectedStepGraph:
 
 def caracol_graph(n: int) -> DirectedStepGraph:
     """Path 1 -> ... -> n+1 plus a source fan (1, i) and a sink fan (i, n+1)."""
-    if type(n) is not int:
-        (n,) = _integers((n,), "caracol_graph argument")
+    (n,) = _integers((n,), "caracol_graph argument")
     if n < 3:
         raise ValueError("caracol_graph requires n >= 3")
     edges = [(i, i + 1) for i in range(1, n + 1)]
@@ -143,8 +144,7 @@ def augment(graph: DirectedStepGraph, k: int) -> DirectedStepGraph:
 
     Original labels shift up by one so the result again uses 1..N+1.
     """
-    if type(k) is not int:
-        (k,) = _integers((k,), "augment multiplicity")
+    (k,) = _integers((k,), "augment multiplicity")
     if k < 1:
         raise ValueError("augment requires k >= 1")
     edges = [(i + 1, j + 1) for i, j in graph.edges]
@@ -155,6 +155,7 @@ def augment(graph: DirectedStepGraph, k: int) -> DirectedStepGraph:
 
 def restrict(graph: DirectedStepGraph, upto: int) -> DirectedStepGraph:
     """Restriction to vertices 1..upto; the result may be disconnected."""
+    (upto,) = _integers((upto,), "restriction bound")
     if not (1 <= upto <= graph.vertex_count):
         raise ValueError("restriction bound out of range")
     edges = tuple((i, j) for i, j in graph.edges if j <= upto)
@@ -170,6 +171,8 @@ def _check_out_edges(degrees: tuple[int, ...], what: str) -> None:
 
 def _volume_head(graph: DirectedStepGraph, flow: NetFlow) -> tuple[int, ...]:
     """A volume query's non-sink supplies; ValueError where the Lidskii sum is not the volume."""
+    if not isinstance(flow, NetFlow):
+        raise ValueError(f"flow must be a NetFlow, got {type(flow).__name__}")
     if len(flow) != graph.vertex_count:
         raise ValueError("net flow length must match the graph")
     head = flow.values[:-1]
@@ -234,34 +237,33 @@ def parse_net_flow(text: str, vertex_count: int) -> NetFlow:
 
 
 def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """The values as a tuple of ints; ValueError names the first that is not
-    integral, also where int() itself raises (None, 'x', infinity)."""
-    values = tuple(values)
+    """The values as a tuple of ints (as given where each is an int); ValueError
+    names the first that is not integral (2.5, None, 'x', inf) or a non-iterable container."""
     try:
-        ints = tuple(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != values:
-        bad = next(v for v in values if not _is_integer(v))
-        raise ValueError(f"{what} {bad!r} is not an integer")
-    return ints
-
-
-def _is_integer(value: object) -> bool:
-    try:
-        return int(value) == value
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _sums_to_int(values: Iterable[int]) -> bool:
-    """Whether every value is an int, tested by one sum so that a caller
-    converts through _integers only when some value is not: false where the
-    values sum to a float or do not sum at all."""
-    try:
-        return type(sum(values)) is int
+        values = tuple(values)
     except TypeError:
-        return False
+        raise ValueError(f"{what} sequence {values!r} is not iterable") from None
+    if countOf(map(type, values), int) == len(values):
+        return values
+    for value in values:
+        with suppress(TypeError, ValueError, OverflowError):
+            if int(value) == value:
+                continue
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return tuple(map(int, values))
+
+
+def _pairs(pairs: Iterable[tuple[int, int]], what: str) -> tuple[tuple[int, int], ...]:
+    """The pairs as a tuple, each read by _integers, or as given where their
+    entries sum to an int, as all-int (or bool) entries do: one pass in C."""
+    try:
+        pairs = tuple(pairs)
+        if type(sum(chain.from_iterable(pairs))) is int:
+            return pairs
+    except TypeError:
+        if type(pairs) is not tuple:
+            raise ValueError(f"{what} pairs {pairs!r} are not iterable") from None
+    return tuple(_integers(pair, what) for pair in pairs)
 
 
 def _parse_int(text: str, what: str) -> int:

@@ -284,7 +284,7 @@ def _flows(graph: DirectedStepGraph, net: tuple[int, ...]) -> Iterator[FlowAssig
 
 
 def _check(graph: DirectedStepGraph, flow: NetFlow) -> None:
+    if not isinstance(flow, NetFlow):
+        raise ValueError(f"flow must be a NetFlow, got {type(flow).__name__}")
     if len(flow) != graph.vertex_count:
-        raise ValueError(
-            f"net flow has {len(flow)} entries for a graph on {graph.vertex_count} vertices"
-        )
+        raise ValueError(f"net flow has {len(flow)} entries for a graph on {graph.vertex_count} vertices")

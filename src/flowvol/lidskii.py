@@ -32,7 +32,7 @@ from math import comb
 from operator import sub
 from typing import Sequence
 
-from .graphs import DirectedStepGraph, NetFlow, _check_out_edges, _integers, _volume_head, augment, restrict
+from .graphs import DirectedStepGraph, NetFlow, _check_out_edges, _volume_head, augment, restrict
 from .kostant import SweepTable, count_flows, weighted_sweep
 
 
@@ -43,15 +43,21 @@ def volume_terms(graph: DirectedStepGraph) -> SweepTable:
     whose value at a = (1, 0, ..., 0) is not its lone term's flow count raises
     ValueError instead of being returned.  The tables of the 32 most recently
     used graphs stay cached; a table is immutable, so threads may share it."""
-    n = graph.vertex_count - 1
-    total, t = graph.edge_count - n, tuple(d - 1 for d in graph.out_degrees()[:n])
-    inner = restrict(graph, n)
+    inner, total, t, lone = _lone_term(graph, graph.out_degrees())
     table = weighted_sweep(inner, total, t)
-    lone = count_flows(inner, NetFlow((total - t[0],) + tuple(-x for x in t[1:])))
-    head = (1,) + (0,) * (n - 1)
-    if _table_sum(table, [head[i] ** e for i, e in table.slots]) != lone:
+    head = (1,) + (0,) * (len(t) - 1)
+    if _table_sum(table, [head[i] ** e for i, e in table.slots]) != count_flows(inner, lone):
         raise ValueError("the volume table disagrees with count_flows at a = (1, 0, ..., 0)")
     return table
+
+
+def _lone_term(graph: DirectedStepGraph, degs: tuple[int, ...]) -> tuple:
+    """The restriction to the first n vertices, m - n, t (out-degrees less 1
+    there) and the net flow (m-n-t_1, -t_2, ..., -t_n) of the lone term."""
+    n = graph.vertex_count - 1
+    total, t = graph.edge_count - n, tuple(d - 1 for d in degs[:n])
+    supplies = (total - t[0],) + tuple(-x for x in t[1:])
+    return restrict(graph, n), total, t, NetFlow(supplies)
 
 
 def _table_sum(table: SweepTable, values: Sequence[int]) -> int:
@@ -80,19 +86,15 @@ def unit_flow_volume(graph: DirectedStepGraph) -> int:
     non-sink vertices, the supplies are (m_G - n_G, 1 - outdeg_G(1), ..., 1 -
     outdeg_G(n_G)) whatever k is."""
     degs = graph.out_degrees()
-    n = graph.vertex_count - 1
-    if n < 1:
+    if graph.vertex_count < 2:
         raise ValueError("unit_flow_volume needs at least two vertices")
     _check_out_edges(degs, "unit_flow_volume")
-    supplies = (graph.edge_count - n + 1 - degs[0],) + tuple(1 - d for d in degs[1:n])
-    return count_flows(restrict(graph, n), NetFlow(supplies))
+    inner, _, _, lone = _lone_term(graph, degs)
+    return count_flows(inner, lone)
 
 
 def ehrhart_like(graph: DirectedStepGraph, k: int) -> int:
-    """Volume of the k-fold augmented graph at net flow (1, 0^n)."""
-    (k,) = _integers((k,), "augment multiplicity")
-    if k < 1:
-        raise ValueError("ehrhart_like requires k >= 1")
+    """Volume of the k-fold augmented graph at net flow (1, 0^n); augment reads and checks k."""
     _check_out_edges(graph.out_degrees(), "ehrhart_like")
     return unit_flow_volume(augment(graph, k))
 

@@ -98,7 +98,7 @@ def test_volume_all_methods_catch_a_planted_shift_in_the_table(capsys, monkeypat
     # t[0] + 1, t[1] - 1 where lidskii computes the shifted out-degrees t, in
     # a copy of the module: the table and its own check at a = (1, 0, ..., 0)
     # move together, and the ct route, which computes t itself, does not
-    line = "tuple(d - 1 for d in graph.out_degrees()[:n])"
+    line = "tuple(d - 1 for d in degs[:n])"
     source = inspect.getsource(lidskii)
     assert source.count(line) == 1
     planted = {"__name__": lidskii.__name__, "__package__": lidskii.__package__,
@@ -224,6 +224,19 @@ def test_ehrhart_rejects_sizes_below_the_family_minimum(capsys, family, n, metho
     )
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "requires n >=" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["ehrhart", "--family", "ps", "--n", "4", "--k", "0"], "--k must be >= 1"),
+        (["enumerate", "ld", "--n", "3", "--k", "2", "--zeros", "1", "--comp", "1,1,1", "--count"],
+         "give at most one of --zeros and --comp"),
+    ],
+    ids=["ehrhart-k0", "enumerate-zeros-and-comp"],
+)
+def test_argument_errors_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_enumerate_ld_list(capsys):

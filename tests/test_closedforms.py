@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -187,6 +188,45 @@ def test_closed_forms_reject_non_integers(call, message):
     # the closed forms returned a plausible number (the printed volume forms
     # a float), the defining sums and the counting forms a TypeError
     with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: cf.multiset_coeff(-1, 0), "multiset_coeff needs nonnegative arguments"),
+        (lambda: cf.multiset_coeff(2, -1), "multiset_coeff needs nonnegative arguments"),
+        (lambda: cf.catalan(-1), "catalan needs a nonnegative argument"),
+        (lambda: cf.ehrhart_ps_closed(1, 1), "ehrhart_ps_closed requires n >= 2 and k >= 1"),
+        (lambda: cf.ehrhart_ps_closed(2, 0), "ehrhart_ps_closed requires n >= 2 and k >= 1"),
+        (lambda: cf.ehrhart_car_closed(2, 1), "ehrhart_car_closed requires n >= 3 and k >= 1"),
+        (lambda: cf.ehrhart_car_closed(3, 0), "ehrhart_car_closed requires n >= 3 and k >= 1"),
+        (lambda: cf.labeled_dyck_count_by_zeros(2, 1, 3), "d must lie in 0..n"),
+        (lambda: cf.labeled_dyck_count_by_zeros(2, 1, -1), "d must lie in 0..n"),
+        (lambda: cf.doubly_labeled_count(-1, 1), "doubly_labeled_count requires n >= 0 and k >= 1"),
+        (lambda: cf.doubly_labeled_count(2, 0), "doubly_labeled_count requires n >= 0 and k >= 1"),
+        (lambda: cf.doubly_labeled_count_via_sum(-1, 1),
+         "doubly_labeled_count_via_sum requires n >= 0 and k >= 1"),
+        (lambda: cf.doubly_labeled_count_via_sum(2, 0),
+         "doubly_labeled_count_via_sum requires n >= 0 and k >= 1"),
+        (lambda: cf.prefix_count_closed(2, 3, 1, (0, 0)), "height i must lie in 0..n"),
+        (lambda: cf.tail_multinomial_sum(3, 3, 2), "tail_multinomial_sum requires 1 <= k <= m <= n"),
+        (lambda: cf.tail_multinomial_sum(3, 0, 2), "tail_multinomial_sum requires 1 <= k <= m <= n"),
+        (lambda: cf.dominant_power_sum((1, 1), -1), "m must be nonnegative"),
+        (lambda: cf.dominant_power_sum_pair(1, 1, 1), "the closed pair form needs m >= 2"),
+        (lambda: cf.dominant_power_sum_triple(2, 1, 1, 1), "the closed triple form needs m >= 3"),
+        (lambda: cf.fan_flow_sum_by_paths(4, 0, 2, 2), "need p >= 1, q >= 1, r >= 0"),
+        (lambda: cf.fan_flow_sum_by_flows(5, 1, 1, 1), "p + q + r must equal n"),
+        (lambda: cf.fan_flow_sum_closed(2, 1, 1, 0), "need n >= 3"),
+    ],
+    ids=["multiset_coeff-n", "multiset_coeff-m", "catalan", "ehrhart_ps-n", "ehrhart_ps-k",
+         "ehrhart_car-n", "ehrhart_car-k", "by_zeros-high", "by_zeros-low", "doubly_labeled-n",
+         "doubly_labeled-k", "doubly_labeled_via_sum-n", "doubly_labeled_via_sum-k", "prefix",
+         "tail_sum-k-above-m", "tail_sum-k0", "power_sum", "power_sum_pair", "power_sum_triple",
+         "pqr-range", "pqr-sum", "pqr-n"],
+)
+def test_closed_forms_reject_arguments_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -14,10 +14,12 @@ from flowvol.ctengine import (
     evaluate,
     evaluate_series,
     evaluate_series_oracle,
+    flow_count_expression,
     format_ct_expression,
     parse_ct_expression,
     ps_ct_expression,
 )
+from flowvol.graphs import DirectedStepGraph, NetFlow
 
 
 def test_chain_instance_n2_k1():
@@ -137,12 +139,31 @@ def test_factors_reject_non_integral_entries():
         (lambda: CTExpression(2.5, (0, 0), ((1, 2),)), "nvars 2.5"),
         (lambda: ps_ct_expression(3.5, 1), "ps_ct_expression argument 3.5"),
         (lambda: car_ct_expression(3.5, 1), "car_ct_expression argument 3.5"),
+        (lambda: evaluate_series_oracle(ps_ct_expression(3, 1), 10.5), "degree_cap 10.5"),
     ],
-    ids=["nvars", "ps_ct_expression", "car_ct_expression"],
+    ids=["nvars", "ps_ct_expression", "car_ct_expression", "evaluate_series_oracle"],
 )
 def test_expressions_reject_non_integers_at_the_call(call, message):
     # each raised TypeError in the evaluator or the builder, or a misleading ValueError
     with pytest.raises(ValueError, match=f"^{message} is not an integer$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: CTExpression(0, ()), "nvars must be positive"),
+        (lambda: ps_ct_expression(1, 1), "ps_ct_expression requires n >= 2 and k >= 1"),
+        (lambda: ps_ct_expression(2, 0), "ps_ct_expression requires n >= 2 and k >= 1"),
+        (lambda: car_ct_expression(1, 1), "car_ct_expression requires n >= 2 and k >= 1"),
+        (lambda: car_ct_expression(2, 0), "car_ct_expression requires n >= 2 and k >= 1"),
+        (lambda: flow_count_expression(DirectedStepGraph(3, ((1, 2), (2, 3))), NetFlow((1, -1))),
+         "flow length must match the graph"),
+    ],
+    ids=["nvars", "ps-n", "ps-k", "car-n", "car-k", "flow_count_expression"],
+)
+def test_expressions_reject_sizes_out_of_range(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
 
@@ -152,6 +173,7 @@ def test_integral_float_sizes_are_read_as_ints():
     assert evaluate(expr) == evaluate(CTExpression(2, (0, 0), ((1, 2),)))
     assert ps_ct_expression(3.0, 2.0) == ps_ct_expression(3, 2)
     assert car_ct_expression(3.0, 2.0) == car_ct_expression(3, 2)
+    assert evaluate_series_oracle(ps_ct_expression(3, 1), 10.0) == 2
 
 
 def test_chain_identity_small_grid():

@@ -3,10 +3,11 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from flowvol.closedforms import catalan, multiset_coeff
-from flowvol.ctengine import CTExpression, ps_ct_expression
-from flowvol.dyck import iter_dominant, labeled_dyck_words
+from flowvol.closedforms import catalan, dominant_power_sum, multiset_coeff
+from flowvol.ctengine import CTExpression, ct_volume, ps_ct_expression
+from flowvol.dyck import iter_dominant, labeled_dyck_words, min_constrained_count
 
+from flowvol import graphs
 from flowvol.graphs import (
     DirectedStepGraph,
     FlowAssignment,
@@ -18,8 +19,8 @@ from flowvol.graphs import (
     pitman_stanley_graph,
     restrict,
 )
-from flowvol.kostant import count_flows, list_flows
-from flowvol.lidskii import ehrhart_like
+from flowvol.kostant import count_flows, iter_flows, list_flows
+from flowvol.lidskii import ehrhart_like, volume
 
 
 def test_ps4_edges():
@@ -102,6 +103,19 @@ def test_restrict_may_disconnect():
     assert not inner.is_connected()  # vertex 3 is cut loose
 
 
+@pytest.mark.parametrize("upto", [0, 5])
+def test_restrict_rejects_bounds_out_of_range(upto):
+    with pytest.raises(ValueError, match="^restriction bound out of range$"):
+        restrict(pitman_stanley_graph(3), upto)
+
+
+def test_restrict_reads_its_bound_as_an_integer():
+    # 2.0 was passed on and blamed as a vertex_count
+    assert restrict(pitman_stanley_graph(3), 2.0) == restrict(pitman_stanley_graph(3), 2)
+    with pytest.raises(ValueError, match="^restriction bound 2.5 is not an integer$"):
+        restrict(pitman_stanley_graph(3), 2.5)
+
+
 def test_edge_bounds_checked():
     with pytest.raises(ValueError):
         DirectedStepGraph(3, ((2, 2),))
@@ -125,6 +139,9 @@ def test_net_flow_sum_checked():
 def test_vertex_count_must_be_an_int():
     with pytest.raises(ValueError, match="vertex_count must be an int, got 2.0"):
         DirectedStepGraph(2.0, ((1, 2),))
+    # an int subclass passed, and the graph's vertex_count was True
+    with pytest.raises(ValueError, match="vertex_count must be an int, got True"):
+        DirectedStepGraph(True, ())
 
 
 def test_graph_records_reject_non_integral_values():
@@ -133,6 +150,21 @@ def test_graph_records_reject_non_integral_values():
         count_flows(DirectedStepGraph(3, ((1, 2.5), (1, 3))), NetFlow((2, 0, -2)))
     with pytest.raises(ValueError, match="^flow value 0.5 is not an integer$"):
         FlowAssignment((0.5,))
+
+
+def test_flow_values_must_be_nonnegative():
+    with pytest.raises(ValueError, match="^flow values must be nonnegative$"):
+        FlowAssignment((1, -1))
+
+
+def test_readers_return_all_int_input_as_given():
+    edges, values = ((1, 2), (2, 3)), (1, 0, -1)
+    assert graphs._pairs(edges, "edge endpoint") is edges
+    assert graphs._integers(values, "net flow entry") is values
+    assert NetFlow(values).values is values
+    # _integers checks the exact type, so a bool is read as its int
+    assert type(NetFlow((True, -1)).values[0]) is int
+    assert graphs._pairs([[1.0, 2]], "edge endpoint") == ((1, 2),)
 
 
 def test_graph_records_read_integral_floats():
@@ -197,6 +229,44 @@ def test_non_numbers_raise_value_error(call, message):
     # each raised TypeError from int(), from a sum or from a comparison, or
     # int's own "invalid literal" text
     with pytest.raises(ValueError, match=f"^{re.escape(message)} is not an integer$"):
+        call()
+
+
+_CAR4 = caracol_graph(4)
+
+
+@pytest.mark.parametrize(
+    ("call", "message"),
+    [
+        (lambda: NetFlow(5), "net flow entry sequence 5 is not iterable"),
+        (lambda: NetFlow(None), "net flow entry sequence None is not iterable"),
+        (lambda: NetFlow.with_sink(3), "net flow entry sequence 3 is not iterable"),
+        (lambda: FlowAssignment(None), "flow value sequence None is not iterable"),
+        (lambda: DirectedStepGraph(3, ((1, 2), 5)), "edge endpoint sequence 5 is not iterable"),
+        (lambda: DirectedStepGraph(3, 5), "edge endpoint pairs 5 are not iterable"),
+        (lambda: CTExpression(2, None), "monomial exponent sequence None is not iterable"),
+        (lambda: CTExpression(2, (0, 0), None), "pow factor entry pairs None are not iterable"),
+        (lambda: CTExpression(2, (0, 0), (), ((1, 2), 3)), "diff factor entry sequence 3 is not iterable"),
+        (lambda: labeled_dyck_words(2, 1, label_counts=5), "label count sequence 5 is not iterable"),
+        (lambda: iter_dominant(2, 1, 3), "iter_dominant t entry sequence 3 is not iterable"),
+        (lambda: dominant_power_sum(3, 2), "power sum value sequence 3 is not iterable"),
+        (lambda: min_constrained_count(2, 5), "mins entry sequence 5 is not iterable"),
+        (lambda: DirectedStepGraph(True, ()), "vertex_count must be an int, got True"),
+        (lambda: restrict(_CAR4, None), "restriction bound None is not an integer"),
+        (lambda: count_flows(_CAR4, None), "flow must be a NetFlow, got NoneType"),
+        (lambda: iter_flows(_CAR4, (1, 0, 0, 0, -1)), "flow must be a NetFlow, got tuple"),
+        (lambda: list_flows(_CAR4, (1, 0, 0, 0, -1), 2), "flow must be a NetFlow, got tuple"),
+        (lambda: volume(_CAR4, (1, 0, 0, 0, -1)), "flow must be a NetFlow, got tuple"),
+        (lambda: ct_volume(_CAR4, [1, 0, 0, 0, -1]), "flow must be a NetFlow, got list"),
+    ],
+    ids=["NetFlow-int", "NetFlow-None", "with_sink", "FlowAssignment", "edge", "edges",
+         "monomial", "pow_factors", "diff_factor", "label_counts", "iter_dominant",
+         "dominant_power_sum", "min_constrained_count", "vertex_count-True", "restrict-None",
+         "count_flows", "iter_flows", "list_flows", "volume", "ct_volume"],
+)
+def test_arguments_of_the_wrong_kind_raise_value_error(call, message):
+    # each raised TypeError or AttributeError, or built a graph on True vertices
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 

@@ -64,6 +64,11 @@ def test_cap_truncates():
     assert list_flows(TRIANGLE, flow, 2) == full[:2]
 
 
+def test_cap_must_be_nonnegative():
+    with pytest.raises(ValueError, match="^cap must be nonnegative$"):
+        list_flows(TRIANGLE, NetFlow((2, 0, -2)), -1)
+
+
 def test_list_order_is_lexicographic():
     flow = NetFlow((3, -1, -2))
     values = [f.values for f in list_flows(TRIANGLE, flow, 100)]

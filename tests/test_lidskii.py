@@ -552,6 +552,11 @@ def test_unit_flow_volumes():
     assert unit_flow_volume(caracol_graph(3)) == 1
 
 
+def test_unit_flow_volume_needs_two_vertices():
+    with pytest.raises(ValueError, match="^unit_flow_volume needs at least two vertices$"):
+        unit_flow_volume(DirectedStepGraph(1, ()))
+
+
 def test_unit_flow_matches_volume_sum():
     graphs = [pitman_stanley_graph(n) for n in range(2, 8)]
     graphs += [caracol_graph(n) for n in range(3, 8)]
